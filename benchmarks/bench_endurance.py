@@ -81,7 +81,7 @@ def run_endurance(*, jobs: int = 150, seed: int = 71) -> dict:
     runs = sum(stack.mom(c.name).stats["runs"] for c in cluster.computes)
     live = [h for h in stack.head_names if cluster.node(h).is_up
             and "joshua" in cluster.node(h).daemons]
-    payloads = {h: stack.joshua(h).group.queue.payload_count() for h in live}
+    payloads = {h: stack.joshua(h).shards[0].group.queue.payload_count() for h in live}
     completed = sum(
         1 for j in stack.pbs("head1").jobs if j.state is JobState.COMPLETE
     )
@@ -93,7 +93,7 @@ def run_endurance(*, jobs: int = 150, seed: int = 71) -> dict:
         "rejoined_active": stack.joshua("head0").active,
         "max_resident_payloads": max(payloads.values()),
         "gc_released": max(
-            stack.joshua(h).group.stats.get("gc_released", 0) for h in live
+            stack.joshua(h).shards[0].group.stats.get("gc_released", 0) for h in live
         ),
         "sim_hours": round(kernel.now / 3600.0, 2),
     }

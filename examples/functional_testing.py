@@ -92,7 +92,7 @@ def main() -> None:
     check("two simultaneous failures tolerated; queue intact",
           any(r["job_id"] == precious for r in rows))
     check("survivors formed a two-member view",
-          stack.joshua("head3").group.view.size == 2)
+          stack.joshua("head3").shards[0].group.view.size == 2)
 
     print("\n§5 functional checklist — join / voluntary leave")
     cluster, stack = fresh(heads=2)
@@ -106,7 +106,7 @@ def main() -> None:
     stack.joshua("head0").leave()
     cluster.run(until=cluster.kernel.now + 4.0)
     check("voluntary leave shrank the view without disruption",
-          stack.joshua("head1").group.view.size == 2)
+          stack.joshua("head1").shards[0].group.view.size == 2)
     post_leave = drive(cluster, stack.client(node="login", prefer="head1")
                        .jsub(name="post-leave", walltime=600.0))
     cluster.run(until=cluster.kernel.now + 1.0)

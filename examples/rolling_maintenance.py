@@ -80,7 +80,7 @@ def main() -> None:
           f"{total_runs} total executions")
     assert not missing, "a job fell through the roll"
     assert total_runs == len(submitted), "a job ran more than once"
-    view = stack.joshua(final_heads[0]).group.view
+    view = stack.joshua(final_heads[0]).shards[0].group.view
     print(f"group view after the roll: {view}")
 
 

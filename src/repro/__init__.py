@@ -17,9 +17,9 @@ Sub-packages
 ``repro.gcs``      group communication (Transis stand-in): total order,
                    SAFE delivery, view-synchronous membership
 ``repro.pbs``      TORQUE/Maui-compatible job & resource management
-``repro.joshua``   the paper's contribution: replicated PBS + jmutex
-``repro.aa``       the universal active/active wrapper (paper §3)
-``repro.pvfs``     replicated PVFS metadata server (paper's follow-on)
+``repro.joshua``   the paper's contribution: the replication core (paper §3's
+                   universal active/active wrapper) driving PBS + jmutex
+``repro.pvfs``     PVFS metadata server on the same core (paper's follow-on)
 ``repro.ha``       HA baselines, Equations 1-3, correlated failures, RAS
 ``repro.bench``    experiment harness for every paper figure
 ``repro.cli``      ``python -m repro`` experiment runner

@@ -98,6 +98,8 @@ ERROR_KINDS_EXEMPT = {
     "pbs-error": "generic server failure wrapper, surfaced to the user as-is",
     "bad-request": "malformed/unroutable request; a correct client never sees it",
     "bad-command": "unknown replicated command kind; a correct client never sees it",
+    "pvfs-error": "deterministic metadata error, re-raised as ServiceError by "
+                  "the PVFS client (pvfs/client.py) without branching on it",
     "retry": "consumed generically: the state-transfer puller retries on any "
              "PBSError (joshua/xfer.py)",
 }

@@ -116,7 +116,10 @@ def measure_read_mix(
 
     observer = stack.joshua("head0")
     committed_writes = sum(
-        1 for command in observer.command_log if command.kind == "jsub"
+        1
+        for replica in observer.shards
+        for command in replica.executor.command_log
+        if command.kind == "jsub"
     )
     return {
         "heads": heads,

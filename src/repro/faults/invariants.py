@@ -337,23 +337,25 @@ class InvariantSuite:
         accepted: dict[str, str] = {}
         deleted: set[str] = set()
         for head, joshua in veterans.items():
-            for command in joshua.command_log:
-                if command.kind == "jdel":
-                    deleted.add(command.payload)
-                    continue
-                if command.kind != "jsub":
-                    continue
-                result = joshua.results.get(command.uuid)
-                job_id = getattr(result, "job_id", None)
-                if job_id is None:
-                    continue
-                known = accepted.setdefault(command.uuid, job_id)
-                if known != job_id:
-                    self._violate(
-                        "no-lost-command",
-                        f"command {command.uuid} became {known} on one head "
-                        f"and {job_id} on {head}",
-                    )
+            for replica in joshua.shards:
+                executor = replica.executor
+                for command in executor.command_log:
+                    if command.kind == "jdel":
+                        deleted.add(command.payload)
+                        continue
+                    if command.kind != "jsub":
+                        continue
+                    result = executor.results.get(command.uuid)
+                    job_id = getattr(result, "job_id", None)
+                    if job_id is None:
+                        continue
+                    known = accepted.setdefault(command.uuid, job_id)
+                    if known != job_id:
+                        self._violate(
+                            "no-lost-command",
+                            f"command {command.uuid} became {known} on one "
+                            f"head and {job_id} on {head}",
+                        )
         expected = {j for j in accepted.values() if j not in deleted}
         for head in veterans:
             queue = self.stack.pbs(head).jobs

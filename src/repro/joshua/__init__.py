@@ -8,7 +8,12 @@ Architecture (paper Figures 8-9), reproduced component for component:
   group communication system for reliable, totally ordered (SAFE) delivery,
   and executes the equivalent ``q``-command against the *local* TORQUE
   server on every active head — external replication: the PBS stack is
-  never modified, only driven through its service interface.
+  never modified, only driven through its service interface. The
+  replication itself is the resource-agnostic core
+  (:mod:`~repro.joshua.shard`, :mod:`~repro.joshua.executor`,
+  :mod:`~repro.joshua.xfer`, :mod:`~repro.joshua.host`); everything PBS
+  lives in its :class:`~repro.joshua.pbs_driver.PBSDriver`, and the PVFS
+  metadata server (:mod:`repro.pvfs`) is a second driver on the same core.
 * :mod:`~repro.joshua.commands` — the ``jsub``/``jdel``/``jstat`` control
   commands, drop-in equivalents of ``qsub``/``qdel``/``qstat`` (the paper
   suggests ``alias qsub=jsub``). They contact any live head and fail over

@@ -24,6 +24,7 @@ from repro.gcs.config import GroupConfig
 from repro.joshua.commands import JoshuaClient
 from repro.joshua.config import JOSHUA_GROUP_CONFIG
 from repro.joshua.jmutex import install_jmutex
+from repro.joshua.pbs_driver import REPLICA_SERVER_NAME
 from repro.joshua.server import JoshuaServer
 from repro.net.address import Address
 from repro.pbs.mom import PBSMom
@@ -33,11 +34,6 @@ from repro.pbs.service_times import ERA_2006, ServiceTimes
 from repro.util.errors import JoshuaError
 
 __all__ = ["JoshuaStack", "build_joshua_stack"]
-
-#: All replicated servers share one logical server name so replayed
-#: submissions yield identical job ids on every head (see DESIGN.md).
-REPLICA_SERVER_NAME = "joshua"
-
 
 @dataclass
 class JoshuaStack:

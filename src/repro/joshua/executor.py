@@ -1,17 +1,17 @@
 """Serial command execution and the delivered-once output cache.
 
-Extracted from :class:`~repro.joshua.server.JoshuaServer`: the replication
-hot path of paper §4. Client commands are deduplicated by UUID (across
-client retries *and* head failovers), multicast through the GCS with SAFE
-service, and applied to the **local** TORQUE server by a strictly serial
-executor — identical command order + deterministic server/scheduler =
-identical replica state. The head that took the client connection replays
-its cached local output back, exactly once.
+The replication hot path of paper §4, for any backend driver. Client
+requests are deduplicated by UUID (across client retries *and* replica
+failovers), multicast through the GCS with SAFE service as a
+:class:`~repro.joshua.wire.Command`, and applied to the local service by a
+strictly serial executor through the replica's
+:class:`~repro.joshua.shard.BackendDriver` — identical command order +
+deterministic service = identical replica state. The replica that took the
+client connection replays its cached local output back, exactly once.
 
-The executor also drains two non-command work items that must serialise
-with the command stream: launch-mutex revocations (delegated to
-:class:`~repro.joshua.mutex.MutexArbiter`) and state-transfer markers
-(delegated to the server's marker path, see :mod:`repro.joshua.xfer`).
+The executor also drains work that must serialise with the command stream:
+state-transfer markers (delegated to :mod:`repro.joshua.xfer`) and local
+work a driver queues (PBS's launch-mutex revocations).
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.gcs.messages import SAFE
-from repro.joshua.wire import Command, JDelReq, JSubReq, SeqStampedResp, XferMarker
+from repro.joshua.wire import Command, SeqStampedResp, XferMarker
 from repro.net.address import Address
 from repro.obs.collector import collector_of
-from repro.pbs.wire import DeleteReq, ErrorResp, StatReq, SubmitReq, rpc_call
 from repro.sim.resources import Store
-from repro.util.errors import PBSError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.joshua.shard import ShardReplica
@@ -45,23 +43,23 @@ class SerialExecutor:
         self.results_seq: dict[str, int] = {}
         #: uuid -> [(client src, rpc id, stamp seq?)] awaiting the result.
         self._pending_replies: dict[str, list[tuple[Address, int, bool]]] = {}
-        #: uuids this server has multicast (avoid re-multicast on retry).
+        #: uuids this replica has multicast (avoid re-multicast on retry).
         self._multicast_uuids: set[str] = set()
         #: Replicated command log (delivered order) — used by tests and by
-        #: replay-mode diagnostics; state transfer itself snapshots the
-        #: local queue rather than replaying from time zero.
+        #: the invariant checks; state transfer itself captures the service
+        #: state rather than replaying from time zero.
         self.command_log: list[Command] = []
 
     # -- client command intake ----------------------------------------------
 
     def submit(self, src: Address, request_id: int, payload):
-        """Dedup an incoming ``jsub``/``jdel``/``jstat`` and multicast it."""
+        """Dedup an incoming client request and multicast its command."""
         s = self.s
         if not s.active or not s.group.can_multicast:
             # Inactive (state transfer in progress) or mid-(re)join after an
             # exclusion: either way we cannot order the command — send the
-            # client to another head instead of crashing on the multicast.
-            return ErrorResp("joining", "head is joining; retry another")
+            # client to another replica instead of crashing on the multicast.
+            return s.server.refuse_joining()
         uuid = payload.uuid
         track = bool(getattr(payload, "track_seq", False))
         if uuid in self.results:
@@ -70,12 +68,7 @@ class SerialExecutor:
         if uuid in self._multicast_uuids:
             return None  # already in flight; the delivery will answer
         self._multicast_uuids.add(uuid)
-        if isinstance(payload, JSubReq):
-            command = Command(uuid, "jsub", payload.spec)
-        elif isinstance(payload, JDelReq):
-            command = Command(uuid, "jdel", payload.job_id)
-        else:
-            command = Command(uuid, "jstat", payload.job_id)
+        command = s.driver.command(payload)
         s.stats["commands"] += 1
         collector = collector_of(s.node.network)
         if collector is not None:
@@ -95,16 +88,21 @@ class SerialExecutor:
 
     # -- serial executor ------------------------------------------------------
 
+    def enqueue(self, work) -> None:
+        """Queue local *work* (a zero-argument generator function) to run on
+        the serial executor, in order with the delivered command stream."""
+        self.queue.put_nowait(work)
+
     def loop(self):
         s = self.s
         while True:
             item = yield self.queue.get()
-            if isinstance(item, tuple) and item and item[0] == "revoke":
-                yield from s.arbiter.execute_revoke(item[1])
+            if callable(item):
+                yield from item()
                 continue
             payload = item.payload
             if isinstance(payload, XferMarker):
-                yield from s._execute_marker(payload)
+                yield from s.xfer.execute_marker(payload)
             elif isinstance(payload, Command):
                 s.drained_commands += 1
                 collector = collector_of(s.node.network)
@@ -119,59 +117,25 @@ class SerialExecutor:
                     continue
                 yield from self.execute_command(payload)
 
-    def local_rpc(self, payload, *, timeout: float = 3.0, retries: int = 2):
-        s = self.s
-        response = yield from rpc_call(
-            s.node.network, s.node.name, s.local_pbs, payload,
-            timeout=timeout, retries=retries,
-        )
-        return response
-
     def execute_command(self, command: Command):
+        s = self.s
         if command.uuid in self.results:
             self.answer(command.uuid)
             return
         self.command_log.append(command)
-        try:
-            if command.kind == "jsub":
-                # Sharded deployments stripe the job-id space: every
-                # replica of this shard computes the same forced id from
-                # the totally-ordered execution count. None = single
-                # shard, the local PBS assigns ids itself.
-                forced = self.s.next_forced_job_id()
-                if forced is None:
-                    request = SubmitReq(command.payload)
-                else:
-                    request = SubmitReq(command.payload, force_job_id=forced)
-                response = yield from self.local_rpc(request)
-                result = response
-            elif command.kind == "jdel":
-                response = yield from self.local_rpc(DeleteReq(command.payload))
-                result = response
-            elif command.kind == "jstat":
-                response = yield from self.local_rpc(StatReq(command.payload))
-                result = response
-            else:  # pragma: no cover - protocol guard
-                result = ErrorResp("bad-command", command.kind)
-        except PBSError as exc:
-            result = ErrorResp("pbs-error", str(exc))
+        result = yield from s.driver.execute(command)
         self.results[command.uuid] = result
-        self.s.note_applied()
-        if self.s.seq_exact:
-            self.results_seq[command.uuid] = self.s.applied_seq
-        self.s.stats["executed"] += 1
-        collector = collector_of(self.s.node.network)
+        s.note_applied()
+        if s.seq_exact:
+            self.results_seq[command.uuid] = s.applied_seq
+        s.stats["executed"] += 1
+        collector = collector_of(s.node.network)
         if collector is not None:
-            job_id = getattr(result, "job_id", None)
-            if command.kind == "jsub" and job_id is not None:
-                # Later lifecycle events (claims, launches, obits) are
-                # keyed by PBS job id; tie them back to this command.
-                collector.job_alias(command.uuid, job_id)
-            collector.job_event(self.s.node.name, "job.executed",
+            collector.job_event(s.node.name, "job.executed",
                                 trace_id=command.uuid, command=command.kind,
                                 result=type(result).__name__,
                                 **self._shard_label())
-        yield self.s.kernel.timeout(self.s.times.cmd_reply)
+        yield from s.driver.reply_pause()
         self.answer(command.uuid)
 
     def answer(self, uuid: str) -> None:
@@ -181,13 +145,13 @@ class SerialExecutor:
 
     def _stamped(self, result, uuid: str, track: bool):
         """Wrap *result* in a :class:`SeqStampedResp` when the writer asked
-        for its commit position — never for errors (the ``ErrorResp`` relay
-        must reach the client unwrapped to re-raise as PBSError) and never
-        from a floor counter (an understated stamp would admit stale RYW
-        reads later)."""
+        for its commit position — never for errors (an error relay must
+        reach the client unwrapped to re-raise there) and never from a
+        floor counter (an understated stamp would admit stale RYW reads
+        later)."""
         if (
             not track
-            or isinstance(result, ErrorResp)
+            or getattr(result, "__rpc_error_relay__", False)
             or uuid not in self.results_seq
         ):
             return result

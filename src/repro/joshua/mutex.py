@@ -1,6 +1,6 @@
 """Launch mutual exclusion (``jmutex``/``jdone``) claim arbitration.
 
-Extracted from :class:`~repro.joshua.server.JoshuaServer`. Every head's
+A plugin of the PBS driver (:mod:`repro.joshua.pbs_driver`). Every head's
 scheduler independently dispatches each job, so the mom receives one start
 attempt per head; each attempt's prologue asks its head's joshua server,
 which multicasts a SAFE :class:`~repro.joshua.wire.Claim`. The first claim
@@ -17,6 +17,7 @@ RUNNING state.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.gcs.messages import SAFE
@@ -121,12 +122,12 @@ class MutexArbiter:
             self.entries.pop(job_id, None)
             self.claimed.discard(job_id)
             s.stats["revocations"] += 1
-            s.executor.queue.put_nowait(("revoke", job_id))
+            s.executor.enqueue(partial(self.execute_revoke, job_id))
 
     def execute_revoke(self, job_id: str):
         s = self.s
         try:
-            yield from s.executor.local_rpc(RerunReq(job_id), retries=1)
+            yield from s.driver.local_rpc(RerunReq(job_id), retries=1)
             s.log.warning(s.tag, f"requeued {job_id}: launch winner died pre-start")
         except PBSError:
             pass  # job not running locally (already finished or unknown)

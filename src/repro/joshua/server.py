@@ -8,12 +8,15 @@ delivered commands to the **local** TORQUE server through the ordinary PBS
 wire protocol. Identical command order + deterministic server/scheduler =
 identical replica state.
 
-The daemon is a thin **front-end router** over one or more
-:class:`~repro.joshua.shard.ShardReplica` units (PROTOCOLS.md §10). Each
-replica owns a complete protocol stack — GCS membership on its own
-per-shard port, :class:`~repro.joshua.executor.SerialExecutor`,
-:class:`~repro.joshua.mutex.MutexArbiter` and
-:class:`~repro.joshua.xfer.StateTransfer` — while the façade owns the one
+The daemon is a :class:`~repro.joshua.host.ReplicaHost` — a thin
+**front-end router** over one or more
+:class:`~repro.joshua.shard.ShardReplica` units (PROTOCOLS.md §10), each
+driving the local PBS server through its own
+:class:`~repro.joshua.pbs_driver.PBSDriver`. Each replica owns a complete
+protocol stack — GCS membership on its own per-shard port,
+:class:`~repro.joshua.executor.SerialExecutor`,
+:class:`~repro.joshua.xfer.StateTransfer`, and the driver's
+:class:`~repro.joshua.mutex.MutexArbiter` — while the host owns the one
 client-facing endpoint and the typed RPC dispatcher, and routes each
 request to the owning shard:
 
@@ -37,13 +40,12 @@ from __future__ import annotations
 import zlib
 from typing import TYPE_CHECKING
 
-from repro.cluster.daemon import Daemon
 from repro.gcs.config import GroupConfig
 from repro.joshua.config import ERA_2006_JOSHUA, JOSHUA_GROUP_CONFIG, JoshuaTimes
-from repro.joshua.mutex import _MutexEntry  # noqa: F401 (re-export)
+from repro.joshua.host import ReplicaHost
+from repro.joshua.pbs_driver import PBSDriver
 from repro.joshua.shard import ShardReplica
 from repro.joshua.wire import (
-    Command,
     Done,
     JDelReq,
     JDoneReq,
@@ -55,10 +57,7 @@ from repro.joshua.wire import (
     JSubReq,
     Started,
     StateXferReq,
-    XferMarker,
-    XferPush,
 )
-from repro.joshua.xfer import StateTransfer
 from repro.net.address import Address
 from repro.obs.collector import collector_of
 from repro.pbs.job import JobSpec
@@ -76,7 +75,7 @@ JOSHUA_PORT = 4412
 JOSHUA_GCS_PORT = 4413
 
 
-class JoshuaServer(Daemon):
+class JoshuaServer(ReplicaHost):
     """The joshua daemon on one head node.
 
     Parameters
@@ -112,20 +111,14 @@ class JoshuaServer(Daemon):
         moms: list[Address] | None = None,
         shards: int = 1,
     ):
-        super().__init__(node, "joshua", JOSHUA_PORT)
-        if (initial_heads is None) == (contacts is None):
-            raise JoshuaError("exactly one of initial_heads/contacts required")
         if state_transfer not in ("replay", "snapshot"):
             raise JoshuaError(f"unknown state_transfer mode {state_transfer!r}")
         if shards < 1:
             raise JoshuaError("shards must be >= 1")
-        self.initial_heads = list(initial_heads or [])
-        self.contacts = list(contacts or [])
         self.times = times
         self.state_transfer = state_transfer
         self.moms = list(moms or [])
         self.local_pbs = Address(node.name, PBS_SERVER_PORT)
-        self.nshards = shards
 
         #: When the head is busy answering local reads until (simulation
         #: time): the daemon and its local PBS are single-threaded, so one
@@ -135,123 +128,22 @@ class JoshuaServer(Daemon):
         #: ordered paths keep their historical timing untouched.
         self._read_busy_until = 0.0
 
-        #: Latched the first time any read-path or ``track_seq`` request
-        #: arrives at this head. Gates the applied-counter transfer in
-        #: :meth:`~repro.joshua.xfer.StateTransfer.capture_state`, so
-        #: deployments that never use the read path never put the counter
-        #: on the wire (the pinned baseline scenarios stay bit-identical).
-        self.seq_tracking = False
-
-        #: One replica unit per shard, each with its own ordering group.
-        self.shards = [
-            ShardReplica(self, k, shards, group_config, JOSHUA_GCS_PORT)
-            for k in range(shards)
+        drivers = [
+            PBSDriver(self.local_pbs, times, state_transfer, self.moms)
+            for _ in range(shards)
         ]
-        self.rpc = self._build_dispatcher()
-
-    # -- component state, exposed under the historical names ------------------
-    #
-    # With one shard these are the real per-replica objects (tests mutate
-    # them); with several they are merged read views — per-shard state lives
-    # on ``self.shards[k]``.
+        super().__init__(
+            node, "joshua", JOSHUA_PORT, drivers,
+            gcs_port=JOSHUA_GCS_PORT, group_config=group_config,
+            initial_heads=initial_heads, contacts=contacts,
+        )
 
     @property
     def group(self):
-        """Shard 0's GCS membership (the historical single-group handle)."""
+        """Shard 0's GCS membership. Code in this repository uses
+        ``shards[k].group``; ``perfbench/workloads.py`` still reads this
+        handle."""
         return self.shards[0].group
-
-    @property
-    def groups(self) -> list:
-        """Every shard's GCS membership, in shard order."""
-        return [replica.group for replica in self.shards]
-
-    @property
-    def executor(self):
-        return self.shards[0].executor
-
-    @property
-    def arbiter(self):
-        return self.shards[0].arbiter
-
-    @property
-    def xfer(self):
-        return self.shards[0].xfer
-
-    @property
-    def active(self) -> bool:
-        """Fully in service: every shard joined + state transferred."""
-        return all(replica.active for replica in self.shards)
-
-    @active.setter
-    def active(self, value: bool) -> None:
-        for replica in self.shards:
-            replica.active = value
-
-    @property
-    def stats(self) -> dict[str, int]:
-        """Engine counters summed across shards (per-shard counters are on
-        ``self.shards[k].stats``)."""
-        totals: dict[str, int] = {}
-        for replica in self.shards:
-            for key, value in sorted(replica.stats.items()):
-                totals[key] = totals.get(key, 0) + value
-        return totals
-
-    @property
-    def results(self) -> dict[str, object]:
-        """uuid -> cached local result (output dedup across retries)."""
-        if self.nshards == 1:
-            return self.shards[0].executor.results
-        merged: dict[str, object] = {}
-        for replica in self.shards:
-            merged.update(replica.executor.results)
-        return merged
-
-    @property
-    def command_log(self) -> list[Command]:
-        """Replicated command log in delivered order (concatenated by shard
-        when sharded — there is no global order across shards)."""
-        if self.nshards == 1:
-            return self.shards[0].executor.command_log
-        log: list[Command] = []
-        for replica in self.shards:
-            log.extend(replica.executor.command_log)
-        return log
-
-    @property
-    def mutex(self) -> dict[str, _MutexEntry]:
-        """Launch mutual exclusion state: job_id -> entry."""
-        if self.nshards == 1:
-            return self.shards[0].arbiter.entries
-        merged: dict[str, _MutexEntry] = {}
-        for replica in self.shards:
-            merged.update(replica.arbiter.entries)
-        return merged
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-
-    def on_start(self) -> None:
-        for replica in self.shards:
-            name = (
-                f"{self.tag}-executor"
-                if self.nshards == 1
-                else f"{self.tag}-executor-s{replica.index}"
-            )
-            self.spawn(replica.executor.loop(), name=name)
-            replica.start()
-
-    def on_stop(self, *, crashed: bool) -> None:
-        for replica in self.shards:
-            replica.group.stop()
-
-    def leave(self) -> None:
-        """Voluntary departure — handled as a forced failure (paper §4:
-        the JOSHUA server shuts down via a signal)."""
-        for replica in self.shards:
-            replica.group.leave()
-        self.stop()
 
     @property
     def head_name(self) -> str:
@@ -290,23 +182,6 @@ class JoshuaServer(Daemon):
     # client / mom RPC handling
     # ------------------------------------------------------------------
 
-    def run(self):
-        # Non-RPC frames (fire-and-forget pushes) route through a typed
-        # dispatch table, same shape as the RPC handler registry.
-        pushes = {XferPush: self._handle_xfer_push}
-        while True:
-            delivery = yield self.endpoint.recv()
-            frame = delivery.payload
-            if self.rpc.handle_frame(delivery.src, frame):
-                continue
-            handler = pushes.get(type(frame))
-            if handler is not None:
-                handler(frame)
-
-    def _handle_xfer_push(self, frame: XferPush) -> None:
-        if 0 <= frame.shard < self.nshards:
-            self.shards[frame.shard].xfer.handle_response(frame.response)
-
     def _build_dispatcher(self) -> RpcDispatcher:
         """Typed request routing with the calibrated receive delays."""
         t = self.times
@@ -322,9 +197,6 @@ class JoshuaServer(Daemon):
         rpc.register(JDoneReq, self._handle_done, delay=t.mutex_process)
         rpc.register(StateXferReq, self._handle_xfer_req, delay=t.cmd_receive)
         return rpc
-
-    def _reply(self, dst: Address, request_id: int, response) -> None:
-        self.rpc.reply(dst, request_id, response)
 
     def _handle_command(self, src: Address, request_id: int, payload):
         if isinstance(payload, JStatReq) and payload.consistency != "ordered":
@@ -359,7 +231,7 @@ class JoshuaServer(Daemon):
             else [self.shard_for_job(req.job_id)]
         )
         if not all(replica.active for replica in gating):
-            return ErrorResp("joining", "head is joining; retry another")
+            return self.refuse_joining()
         floors = dict(req.min_seq) if req.consistency == "ryw" else {}
         unmet = []
         for replica in gating:
@@ -391,7 +263,7 @@ class JoshuaServer(Daemon):
                     )
             if not all(replica.active for replica in gating):
                 # Demoted (view change / resync) while we waited.
-                return ErrorResp("joining", "head is joining; retry another")
+                return self.refuse_joining()
         # Reserve this head's serial read occupancy (floor-waiting above
         # costs none — a blocked read burns no CPU).
         start = max(self.kernel.now, self._read_busy_until)
@@ -399,7 +271,7 @@ class JoshuaServer(Daemon):
         if start > self.kernel.now:
             yield self.kernel.timeout(start - self.kernel.now)
         try:
-            stat = yield from gating[0].executor.local_rpc(StatReq(req.job_id))
+            stat = yield from gating[0].driver.local_rpc(StatReq(req.job_id))
         except PBSError as exc:
             result = ErrorResp("pbs-error", str(exc))
         else:
@@ -452,7 +324,7 @@ class JoshuaServer(Daemon):
         )
 
     def _handle_jmutex(self, src: Address, request_id: int, req: JMutexReq) -> None:
-        self.shard_for_job(req.job_id).arbiter.handle_jmutex(src, request_id, req)
+        self.shard_for_job(req.job_id).driver.arbiter.handle_jmutex(src, request_id, req)
 
     def _handle_started(self, src: Address, request_id: int, payload: JStartedReq):
         replica = self.shard_for_job(payload.job_id)
@@ -469,36 +341,3 @@ class JoshuaServer(Daemon):
             replica.group.multicast(Done(payload.job_id))
             return JMutexResp("ok")
         return ErrorResp("joining", "not in view")
-
-    def _handle_xfer_req(self, src: Address, request_id: int, payload: StateXferReq):
-        # State is normally *pushed* when the executor reaches the marker;
-        # a direct request means the joiner never heard that push (lost
-        # frame). Re-serve the capture if we have it, else tell the joiner
-        # to retry/recut.
-        if not 0 <= payload.shard < self.nshards:
-            return ErrorResp("bad-request", f"no shard {payload.shard}")
-        response = self.shards[payload.shard].xfer.served(payload.marker_uuid)
-        if response is not None:
-            return response
-        return ErrorResp("retry", "marker not reached")
-
-    # ------------------------------------------------------------------
-    # state transfer (thin hooks kept on the façade for tests/tools;
-    # the executor drives the per-replica versions in shard.py)
-    # ------------------------------------------------------------------
-
-    def _execute_marker(self, marker: XferMarker):
-        yield from self.shards[0]._execute_marker(marker)
-
-    def _serve_state(self, marker: XferMarker):
-        yield from self.shards[0]._serve_state(marker)
-
-    def _receive_state(self, marker: XferMarker):
-        yield from self.shards[0]._receive_state(marker)
-
-    @staticmethod
-    def _spec_from_row(row: dict):
-        return StateTransfer.spec_from_row(row)
-
-    def _job_from_row(self, row: dict):
-        return self.shards[0].xfer.job_from_row(row)

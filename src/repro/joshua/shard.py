@@ -1,52 +1,46 @@
-"""Per-shard replica unit: one ordering group's worth of JOSHUA state.
+"""Per-shard replica unit: the resource-agnostic replication core.
 
-The sharded deployment (PROTOCOLS.md §10) partitions the job namespace by
-PBS queue across N independent GCS groups hosted on the *same* head nodes.
-Each :class:`ShardReplica` is what the pre-sharding ``JoshuaServer`` used
-to be in miniature: it owns one :class:`~repro.gcs.member.GroupMember`
-(bound to the per-shard port ``JOSHUA_GCS_PORT + index`` with
-``group_id=index``, so frames from different shards can never
-cross-deliver), one :class:`~repro.joshua.executor.SerialExecutor`, one
-:class:`~repro.joshua.mutex.MutexArbiter` and one
-:class:`~repro.joshua.xfer.StateTransfer`. The façade
-:class:`~repro.joshua.server.JoshuaServer` keeps the single client-facing
-endpoint and routes each request to the owning replica.
+A :class:`ShardReplica` is one ordering group's worth of symmetric
+active/active state on one host daemon (paper §3's universal wrapper). It
+owns one :class:`~repro.gcs.member.GroupMember` (bound to the per-shard
+port ``gcs_base_port + index`` with ``group_id=index``, so frames from
+different shards can never cross-deliver), one
+:class:`~repro.joshua.executor.SerialExecutor` (UUID dedup, SAFE
+multicast, serial execution, exactly-once output) and one
+:class:`~repro.joshua.xfer.StateTransfer` (marker-cut join, partition-merge
+demote/resync, the lost-push pull path).
 
-All replicas on one head apply commands to the *same* local PBS server, so
-the job-id space is **striped**: shard *k* of *N* forces ids
-``k+1, k+1+N, k+1+2N, …`` on its submissions, making ids globally unique,
-deterministic across that shard's replicas, and instantly attributable
-(``(seq-1) % N`` names the owning shard — the router's delete/stat/mutex
-key). With one shard the stripe is disabled and the local PBS assigns ids
-itself, byte-identical to the pre-sharding build.
+Everything specific to the replicated service sits behind a
+:class:`BackendDriver`, the resource-specific half of the replica:
+:class:`~repro.joshua.pbs_driver.PBSDriver` for JOSHUA's PBS interface,
+:class:`~repro.pvfs.service.MetadataBackend` for the PVFS metadata server.
+The core never imports either — one dedup/ordering/join pipeline serves
+every deterministic service.
+
+The hosting daemon (:class:`~repro.joshua.host.ReplicaHost`) keeps the
+single client-facing endpoint and routes each request to the owning
+replica.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import zlib
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Generator
 
 from repro.gcs.member import GroupMember
 from repro.gcs.messages import DeliveredMessage
 from repro.gcs.view import View
 from repro.joshua.executor import SerialExecutor
-from repro.joshua.mutex import MutexArbiter
-from repro.joshua.wire import Claim, Command, Done, Started, XferMarker
+from repro.joshua.wire import Command, StateXferResp, XferMarker
 from repro.joshua.xfer import StateTransfer
 from repro.net.address import Address
-from repro.pbs.server import PBS_SERVER_PORT
-from repro.pbs.wire import AdminServers
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gcs.config import GroupConfig
-    from repro.joshua.server import JoshuaServer
+    from repro.joshua.host import ReplicaHost
 
-__all__ = ["ShardReplica", "queue_for_shard"]
-
-#: Mirrors :data:`repro.joshua.deploy.REPLICA_SERVER_NAME` (importing it
-#: here would cycle deploy -> server -> shard -> deploy).
-_REPLICA_SERVER_NAME = "joshua"
+__all__ = ["BackendDriver", "ShardReplica", "queue_for_shard"]
 
 
 def queue_for_shard(shard: int, nshards: int) -> str:
@@ -65,23 +59,69 @@ def queue_for_shard(shard: int, nshards: int) -> str:
         j += 1
 
 
-class ShardReplica:
-    """One shard's protocol engines on one head node.
+class BackendDriver:
+    """The deterministic service one :class:`ShardReplica` replicates.
 
-    Everything the engines historically accessed on the ``JoshuaServer``
-    façade (``s.group``, ``s.stats``, ``s.active``, ``s._reply`` …) lives
-    here now; the attributes that are genuinely head-wide (the client
-    endpoint, the RPC reply path, logging identity) delegate back to the
-    façade so one head still looks like one daemon to the outside.
+    A driver supplies three coroutines — :meth:`execute`, :meth:`snapshot`
+    and :meth:`restore` — and may override the hooks, which default to
+    no-ops. Determinism is the driver's contract: the same command sequence
+    must yield the same state and the same results at every replica.
+    """
+
+    #: The replica this driver serves (set by :meth:`attach`).
+    replica: "ShardReplica"
+
+    def attach(self, replica: "ShardReplica") -> None:
+        """Bind the driver to its replica (called from the replica's
+        constructor, before the group starts)."""
+        self.replica = replica
+
+    def command(self, request) -> Command:
+        """The totally ordered :class:`Command` for a client *request*
+        (default: the request already is one)."""
+        return request
+
+    def execute(self, command: Command) -> Generator:  # pragma: no cover
+        """Apply one delivered command; returns its (cached) result."""
+        raise NotImplementedError
+
+    def reply_pause(self) -> Generator:
+        """Runs between caching a result and relaying it (default: none)."""
+        yield from ()
+
+    def snapshot(self) -> Generator:  # pragma: no cover
+        """Capture the state at a marker cut: returns the service's
+        :class:`~repro.joshua.wire.StateXferResp` fields (``mode``,
+        ``items``, ``next_seq``, ``mutex`` and optionally ``skipped``)."""
+        raise NotImplementedError
+
+    def restore(self, response: StateXferResp) -> Generator:  # pragma: no cover
+        """Replace the local state with a transferred capture."""
+        raise NotImplementedError
+
+    def on_deliver(self, payload) -> None:
+        """A delivered group payload other than a command or marker."""
+
+    def on_view(self, view: View) -> None:
+        """A view installed (after the state-transfer hook has seen it)."""
+
+
+class ShardReplica:
+    """One shard's protocol engines on one host daemon.
+
+    The attributes that are genuinely host-wide (the client endpoint, the
+    RPC reply path, logging identity) delegate back to the host so one
+    head still looks like one daemon to the outside.
     """
 
     def __init__(
         self,
-        server: "JoshuaServer",
+        server: "ReplicaHost",
         index: int,
         nshards: int,
         group_config: "GroupConfig",
         gcs_base_port: int,
+        driver: BackendDriver,
     ):
         self.server = server
         self.index = index
@@ -90,24 +130,18 @@ class ShardReplica:
         self.gcs_port = gcs_base_port + index
         self.node = server.node
         self.kernel = server.kernel
-        self.times = server.times
-        self.local_pbs = server.local_pbs
-        self.state_transfer = server.state_transfer
         self.contacts = server.contacts
 
         #: Fully in service (joined + state transferred) — per shard: one
         #: shard can be mid-resync while its siblings keep executing.
         self.active = False
-        self.stats = {"commands": 0, "executed": 0, "claims": 0,
-                      "revocations": 0, "state_transfers_served": 0,
+        self.stats = {"commands": 0, "executed": 0,
+                      "state_transfers_served": 0,
                       "state_transfers_pulled": 0}
-        #: jsub executions this shard has totally ordered — drives the
-        #: striped force_job_id sequence (see :meth:`next_forced_job_id`).
-        self.stripe_count = 0
-        #: Commands this replica has actually applied to the local PBS
-        #: (dedup-skipped re-deliveries do not count, so every replica of a
-        #: shard computes the identical sequence) — the staleness position
-        #: the read path reports and the RYW catch-up gate waits on.
+        #: Commands this replica has actually executed (dedup-skipped
+        #: re-deliveries do not count, so every replica of a shard computes
+        #: the identical sequence) — the staleness position the read path
+        #: reports and the RYW catch-up gate waits on.
         self.applied_seq = 0
         #: Whether ``applied_seq`` is exact (founders) or a floor (a joiner
         #: whose sponsor did not transfer its counter). A floor counter can
@@ -130,20 +164,21 @@ class ShardReplica:
             on_view=self._on_view,
         )
         self.executor = SerialExecutor(self)
-        self.arbiter = MutexArbiter(self)
         self.xfer = StateTransfer(self)
+        self.driver = driver
+        driver.attach(self)
 
-    # -- façade delegation ----------------------------------------------------
+    # -- host delegation ------------------------------------------------------
 
     @property
     def head_name(self) -> str:
-        return self.server.head_name
+        return self.node.name
 
     @property
     def address(self) -> Address:
-        """The *client-facing* address (head:JOSHUA_PORT) — markers carry
-        it, and it is shard-unambiguous because markers are multicast
-        within one shard's own group."""
+        """The *client-facing* address of the host — markers carry it, and
+        it is shard-unambiguous because markers are multicast within one
+        shard's own group."""
         return self.server.address
 
     @property
@@ -162,7 +197,7 @@ class ShardReplica:
 
     def _reply(self, dst: Address, request_id: int, response) -> None:
         # Looked up at call time, never captured: tests monkeypatch the
-        # façade's _reply and must intercept replica traffic too.
+        # host's _reply and must intercept replica traffic too.
         self.server._reply(dst, request_id, response)
 
     # -- lifecycle ------------------------------------------------------------
@@ -178,26 +213,11 @@ class ShardReplica:
         else:
             self.group.join([Address(h, self.gcs_port) for h in server.contacts])
 
-    # -- job-id striping ------------------------------------------------------
-
-    def next_forced_job_id(self) -> str | None:
-        """The next striped job id, or ``None`` when striping is off.
-
-        Advances only on totally-ordered jsub executions, so every replica
-        of this shard computes the identical sequence. With one shard the
-        local PBS assigns ids itself — the pre-sharding wire behaviour.
-        """
-        if self.nshards <= 1:
-            return None
-        seq = self.index + 1 + self.stripe_count * self.nshards
-        self.stripe_count += 1
-        return f"{seq}.{_REPLICA_SERVER_NAME}"
-
     # -- read-path sequence surface -------------------------------------------
 
     def note_applied(self) -> None:
-        """One command actually applied to the local PBS: advance the
-        applied position and release any RYW waiters it satisfies."""
+        """One command actually executed: advance the applied position and
+        release any RYW waiters it satisfies."""
         self.applied_seq += 1
         if not self._seq_waiters:
             return
@@ -248,42 +268,9 @@ class ShardReplica:
                 self.delivered_commands += 1
             self.executor.queue.put_nowait(msg)
             self.xfer.note_enqueued(payload)
-        elif isinstance(payload, Claim):
-            self.arbiter.on_claim(payload)
-        elif isinstance(payload, Started):
-            self.arbiter.on_started(payload)
-        elif isinstance(payload, Done):
-            self.arbiter.on_done(payload)
+        else:
+            self.driver.on_deliver(payload)
 
     def _on_view(self, view: View) -> None:
         self.xfer.on_view(view)
-        self.arbiter.revoke_for_view(view)
-        # Tell every mom the current server set, so obituaries (and future
-        # start attempts) reach exactly the live heads. Only shard 0
-        # announces: every shard spans the same head set, and N copies of
-        # the same list would just multiply mom traffic.
-        if (
-            self.index == 0
-            and view.members
-            and view.coordinator == self.group.address
-        ):
-            servers = tuple(
-                sorted(Address(m.node, PBS_SERVER_PORT) for m in view.members)
-            )
-            for mom in self.server.moms:
-                if not self.endpoint.closed:
-                    self.endpoint.send(mom, AdminServers(servers))
-
-    # -- state transfer (thin hooks; the executor calls _execute_marker) ------
-
-    def _execute_marker(self, marker: XferMarker):
-        if marker.joiner == self.address:
-            yield from self._receive_state(marker)
-        else:
-            yield from self._serve_state(marker)
-
-    def _serve_state(self, marker: XferMarker):
-        yield from self.xfer.serve_state(marker)
-
-    def _receive_state(self, marker: XferMarker):
-        yield from self.xfer.receive_state(marker)
+        self.driver.on_view(view)

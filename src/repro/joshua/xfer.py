@@ -1,17 +1,19 @@
-"""State transfer: marker pinning, capture, and the replay/snapshot modes.
+"""State transfer: marker pinning, capture, and install.
 
-Extracted from :class:`~repro.joshua.server.JoshuaServer`: the join
-protocol of paper §4. A joining server enters the group, multicasts an
-:class:`~repro.joshua.wire.XferMarker` to pin a cut in the command stream,
-discards deliveries ordered before its own marker, and asks the group for
-the state as of the marker. Every active member captures its local queue
-exactly when its serial executor reaches the marker (replicas are
-identical at the cut, so the captures are too, and the joiner dedups).
+The join protocol of paper §4, for any backend driver. A joining replica
+enters the group, multicasts an :class:`~repro.joshua.wire.XferMarker` to
+pin a cut in the command stream, discards deliveries ordered before its
+own marker, and asks the group for the state as of the marker. Every
+active member captures its service state exactly when its serial executor
+reaches the marker (replicas are identical at the cut, so the captures are
+too, and the joiner dedups).
 
-Two transfer modes: ``"replay"`` re-submits live jobs through the PBS
-interface (the prototype's approach; held jobs cannot be transferred —
-reproduced limitation), ``"snapshot"`` bulk-loads job records (the
-future-work mode).
+The driver captures and installs the service state
+(:meth:`~repro.joshua.shard.BackendDriver.snapshot` /
+:meth:`~repro.joshua.shard.BackendDriver.restore`); this module adds what
+every service needs around it: the command dedup cache (so a client retry
+of a command executed before the cut is answered from cache, not run
+again) and the applied-command counter of the read path.
 
 The tracker also detects partition-merge demotion: an *established*
 member whose GCS dissolved into the surviving component may have missed
@@ -24,11 +26,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.gcs.view import View
-from repro.joshua.mutex import _MutexEntry
 from repro.joshua.wire import StateXferReq, StateXferResp, XferMarker, XferPush
 from repro.net.address import Address
-from repro.pbs.job import Job, JobSpec, JobState
-from repro.pbs.wire import LoadStateReq, PurgeReq, StatReq, SubmitReq
 from repro.rpc import RpcTimeout, call as rpc_call, rpc_state
 from repro.util.errors import PBSError
 
@@ -36,10 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.joshua.shard import ShardReplica
 
 __all__ = ["StateTransfer"]
-
-#: Must match repro.joshua.server.JOSHUA_PORT (redeclared to avoid an
-#: import cycle — the server module imports this one).
-_JOSHUA_PORT = 4412
 
 
 class StateTransfer:
@@ -92,8 +87,8 @@ class StateTransfer:
                 # Our GCS member lost a partition merge and dissolved into
                 # the surviving component (e.g. after a NIC blackout). Our
                 # replica may have missed commands — or executed client
-                # retries the majority already answered under different job
-                # ids. The survivors are authoritative: demote and resync.
+                # retries the majority already answered differently. The
+                # survivors are authoritative: demote and resync.
                 s.log.warning(
                     s.tag, "re-merged from losing partition side; resyncing"
                 )
@@ -109,20 +104,28 @@ class StateTransfer:
             self.marker_seen = False
             s.group.multicast(marker)
 
+    # -- the executor's marker item -------------------------------------------
+
+    def execute_marker(self, marker: XferMarker):
+        if marker.joiner == self.s.address:
+            yield from self.receive_state(marker)
+        else:
+            yield from self.serve_state(marker)
+
     # -- sponsor side ---------------------------------------------------------
 
     def serve_state(self, marker: XferMarker):
         # Preferred sponsor = lowest-ranked *active* member other than the
         # joiner; but every active member serves (replicas are identical at
         # the marker cut, so the captures are too, and the joiner dedups).
-        # A single designated sponsor can deadlock: two heads resyncing at
-        # once would each elect the other — inactive and unable to serve.
+        # A single designated sponsor can deadlock: two replicas resyncing
+        # at once would each elect the other — inactive and unable to serve.
         s = self.s
         view = s.group.view
         if view is None or not s.active:
             return
-        # marker.joiner is the joiner's *joshua* endpoint; members are GCS
-        # endpoints — compare by node.
+        # marker.joiner is the joiner's client-facing endpoint; members are
+        # GCS endpoints — compare by node.
         others = [m for m in view.members if m.node != marker.joiner.node]
         if not others:
             return
@@ -139,41 +142,10 @@ class StateTransfer:
 
     def capture_state(self, marker: XferMarker):
         s = self.s
-        stat = yield from s.executor.local_rpc(StatReq(None))
-        rows = list(stat.rows)
-        if s.nshards > 1:
-            # The local PBS holds every shard's jobs; capture only our
-            # stripe. next_seq then carries the *stripe count* — taken from
-            # the replica's own counter, not inferred from surviving rows,
-            # because it advances in total order and therefore agrees
-            # across replicas even after the highest-id job was deleted.
-            rows = [r for r in rows if self._owned(r["job_id"])]
-            next_seq = s.stripe_count
-        else:
-            next_seq = 1 + max(
-                (int(r["job_id"].split(".")[0]) for r in rows), default=0
-            )
-        live = [r for r in rows if r["state"] in ("Q", "R", "E", "H", "W")]
-        skipped: list[str] = []
-        items: list = []
-        if s.state_transfer == "replay":
-            for row in live:
-                if row["state"] == "H":
-                    # The paper's documented limitation: command replay
-                    # cannot reconstruct held jobs consistently.
-                    skipped.append(row["job_id"])
-                    continue
-                items.append(("submit", self.spec_from_row(row), row["job_id"]))
-        else:
-            for row in live:
-                items.append(self.job_from_row(row))
-        mutex = tuple(
-            (job_id, entry.winner, entry.started)
-            for job_id, entry in sorted(s.arbiter.entries.items())
-        )
+        fields = yield from s.driver.snapshot()
         # The applied counter at the marker cut, so the joiner's read path
         # resumes with an exact staleness position. Only transferred once a
-        # read/tracked request has latched seq_tracking on this head (the
+        # read/tracked request has latched seq_tracking on this host (the
         # field stays at its default — and off the wire — in deployments
         # that never use the read path) and only from an exact counter (a
         # floor would poison the joiner's RYW gate).
@@ -184,50 +156,10 @@ class StateTransfer:
         )
         return StateXferResp(
             marker.marker_uuid,
-            s.state_transfer,
-            tuple(items),
-            next_seq,
-            mutex,
-            tuple(skipped),
-            tuple(sorted(s.executor.results.items())),
-            applied,
+            results=tuple(sorted(s.executor.results.items())),
+            applied_seq=applied,
+            **fields,
         )
-
-    def _owned(self, job_id: str) -> bool:
-        """*job_id* falls in this replica's stripe of the id space."""
-        s = self.s
-        return (int(job_id.split(".", 1)[0]) - 1) % s.nshards == s.shard_id
-
-    @staticmethod
-    def spec_from_row(row: dict) -> JobSpec:
-        return JobSpec(
-            name=row["name"],
-            owner=row["owner"],
-            nodes=row["nodes"],
-            walltime=row["walltime"],
-            queue=row["queue"],
-        )
-
-    def job_from_row(self, row: dict) -> Job:
-        state = JobState(row["state"])
-        job = Job(
-            row["job_id"],
-            self.spec_from_row(row),
-            submit_time=self.s.kernel.now,
-            comment="state transfer",
-        )
-        if state in (JobState.RUNNING, JobState.EXITING):
-            job = job.transition(
-                JobState.RUNNING,
-                start_time=self.s.kernel.now,
-                exec_nodes=tuple(row["exec_nodes"]),
-                run_count=1,
-            )
-        elif state is JobState.HELD:
-            job = job.transition(JobState.HELD)
-        elif state is JobState.WAITING:
-            job = job.transition(JobState.WAITING)
-        return job
 
     # -- joiner side ----------------------------------------------------------
 
@@ -246,7 +178,8 @@ class StateTransfer:
         for member in sorted(view.members):
             if member.node == s.node.name:
                 continue
-            target = Address(member.node, _JOSHUA_PORT)
+            # Every replica of the service listens on its host's port.
+            target = Address(member.node, s.address.port)
             try:
                 response = yield from rpc_call(
                     s.node.network, s.node.name, target,
@@ -300,56 +233,14 @@ class StateTransfer:
                 return  # the fresh marker's delivery re-enters here
         response = self._responses[uuid]
         self._applied.add(uuid)
-        sharded = s.nshards > 1
-        # Discard any stale local state (a rejoining head recovered its old
-        # queue from disk; the transferred state supersedes it). Sharded:
-        # wipe only our stripe — sibling replicas share this PBS server.
-        if sharded:
-            yield from s.executor.local_rpc(PurgeReq(s.nshards, s.shard_id))
-        else:
-            yield from s.executor.local_rpc(PurgeReq())
-        if response.mode == "replay":
-            if not sharded:
-                # "Configuration file modification": align the id counter
-                # first, then replay the live jobs through the ordinary PBS
-                # interface. (Sharded submissions carry forced striped ids,
-                # so there is no counter to align — next_seq is the stripe
-                # count, restored below.)
-                yield from s.executor.local_rpc(
-                    LoadStateReq((), response.next_seq)
-                )
-            for _kind, spec, job_id in response.items:
-                try:
-                    yield from s.executor.local_rpc(SubmitReq(spec, force_job_id=job_id))
-                except PBSError as exc:  # pragma: no cover - replay guard
-                    s.log.error(s.tag, f"replay of {job_id} failed: {exc}")
-            if response.skipped:
-                s.log.warning(
-                    s.tag,
-                    f"replay could not transfer held jobs: {list(response.skipped)}",
-                )
-        else:
-            # Sharded snapshots merge into the shared queue (other shards'
-            # jobs survived the stripe purge) and leave the id counter to
-            # the forced-id ratchet.
-            yield from s.executor.local_rpc(
-                LoadStateReq(
-                    tuple(response.items),
-                    0 if sharded else response.next_seq,
-                    merge=sharded,
-                )
-            )
-        if sharded:
-            s.stripe_count = response.next_seq
-        for job_id, winner, started in response.mutex:
-            s.arbiter.entries.setdefault(job_id, _MutexEntry(winner, started))
+        yield from s.driver.restore(response)
         for uuid, cached in response.results:
             s.executor.results.setdefault(uuid, cached)
         # Re-anchor the read path's applied position at the marker cut:
         # post-marker commands execute after this method returns, so the
         # sponsor's exact counter is exact here too. Without a transferred
         # counter we restart at a floor — eventual reads stay safe, but RYW
-        # floors and write stamps are disabled until the head re-founds.
+        # floors and write stamps are disabled until the replica re-founds.
         s.restore_applied(
             max(response.applied_seq, 0), response.applied_seq >= 0
         )

@@ -12,19 +12,22 @@ follow-on inside the reproduction:
   getattr/setattr/readdir/unlink/rmdir/rename/statfs);
 * :mod:`repro.pvfs.wire` — the operation records;
 * :mod:`repro.pvfs.service` — the backend driver + deployment builder that
-  replicates the store across head nodes with
-  :class:`~repro.aa.replicated.ReplicatedService`;
+  replicates the store across head nodes on JOSHUA's replication core
+  (:class:`~repro.joshua.shard.ShardReplica` in a ``"pvfs-mds"``
+  :class:`~repro.joshua.host.ReplicaHost`);
 * :mod:`repro.pvfs.client` — a typed client with replica failover.
 
 Because the store is deterministic and reached only through its operation
-interface, the *same* wrapper that JOSHUA pioneered for PBS provides
-continuous availability here with zero service-specific replication code —
-which is precisely the paper's generality claim, now demonstrated.
+interface, the *same* core that replicates PBS provides continuous
+availability here with zero service-specific replication code — ordering,
+exactly-once output, joins, partition-merge resync and the lost-push pull
+path included — which is precisely the paper's generality claim, now
+demonstrated.
 """
 
 from repro.pvfs.metadata import MetadataStore, FileAttr
 from repro.pvfs.service import MetadataBackend, build_replicated_mds, ReplicatedMDS
-from repro.pvfs.client import PVFSClient
+from repro.pvfs.client import PVFSClient, ServiceError
 
 __all__ = [
     "MetadataStore",
@@ -33,4 +36,5 @@ __all__ = [
     "ReplicatedMDS",
     "build_replicated_mds",
     "PVFSClient",
+    "ServiceError",
 ]

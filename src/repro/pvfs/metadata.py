@@ -212,7 +212,9 @@ class MetadataStore:
         self.op_count += 1
         return sorted(inode.children)
 
-    def unlink(self, path: str, *, now: float = 0.0) -> None:
+    def unlink(self, path: str, *, now: float = 0.0) -> FileAttr:
+        """Remove a file; returns its last attributes (the data-file
+        handles a client then deletes on the I/O servers)."""
         parent, name = self._resolve_parent(path)
         if name not in parent.children:
             raise NotFound(path)
@@ -223,8 +225,10 @@ class MetadataStore:
         del self._inodes[inode.handle]
         parent.mtime = now
         self.op_count += 1
+        return self._attr(inode)
 
-    def rmdir(self, path: str, *, now: float = 0.0) -> None:
+    def rmdir(self, path: str, *, now: float = 0.0) -> FileAttr:
+        """Remove an empty directory; returns its last attributes."""
         parent, name = self._resolve_parent(path)
         if name not in parent.children:
             raise NotFound(path)
@@ -237,8 +241,10 @@ class MetadataStore:
         del self._inodes[inode.handle]
         parent.mtime = now
         self.op_count += 1
+        return self._attr(inode)
 
-    def rename(self, src: str, dst: str, *, now: float = 0.0) -> None:
+    def rename(self, src: str, dst: str, *, now: float = 0.0) -> FileAttr:
+        """Move an entry; returns the moved entry's attributes."""
         src_parent, src_name = self._resolve_parent(src)
         if src_name not in src_parent.children:
             raise NotFound(src)
@@ -247,7 +253,7 @@ class MetadataStore:
         if dst_parent.handle == src_parent.handle and dst_name == src_name:
             # POSIX: renaming a file onto itself succeeds and does nothing.
             self.op_count += 1
-            return
+            return self._attr(moving)
         if dst_name in dst_parent.children:
             existing = self._inodes[dst_parent.children[dst_name]]
             if existing.kind == "dir":
@@ -275,6 +281,7 @@ class MetadataStore:
         src_parent.mtime = now
         dst_parent.mtime = now
         self.op_count += 1
+        return self._attr(moving)
 
     def _find_parent_handle(self, handle: int) -> int | None:
         if handle == self.ROOT_HANDLE:

@@ -1,8 +1,10 @@
 """The replicated metadata service: backend driver + deployment builder.
 
-:class:`MetadataBackend` adapts a :class:`~repro.pvfs.metadata.MetadataStore`
-to the :class:`~repro.aa.replicated.BackendDriver` protocol. Two details
-keep replicas bit-identical:
+:class:`MetadataBackend` is the backend driver that puts a
+:class:`~repro.pvfs.metadata.MetadataStore` on the replication core
+(:class:`~repro.joshua.shard.ShardReplica`, hosted by a ``"pvfs-mds"``
+:class:`~repro.joshua.host.ReplicaHost` on every head). Two details keep
+replicas bit-identical:
 
 * **logical timestamps** — inode times are the operation's position in the
   delivered total order, not the local clock (replicas execute the same
@@ -10,6 +12,10 @@ keep replicas bit-identical:
   would diverge);
 * **service times** — each operation charges a per-op CPU cost, so the
   latency benches reflect 2006-class metadata performance.
+
+Operations that fail in the store (:class:`~repro.pvfs.metadata.PVFSError`)
+fail identically at every replica; their error is the cached, replicated
+result, relayed to the client as an ``ErrorResp("pvfs-error", …)``.
 """
 
 from __future__ import annotations
@@ -17,11 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Generator
 
-from repro.aa.replicated import ReplicatedService
 from repro.cluster.cluster import Cluster
 from repro.gcs.config import GroupConfig
+from repro.joshua.host import ReplicaHost
+from repro.joshua.shard import BackendDriver
+from repro.joshua.wire import Command
 from repro.net.address import Address
-from repro.pvfs.metadata import MetadataStore
+from repro.pbs.wire import ErrorResp
+from repro.pvfs.metadata import MetadataStore, PVFSError
 from repro.pvfs.wire import (
     Create,
     GetAttr,
@@ -45,8 +54,8 @@ MDS_PORT = 3334      # PVFS2's well-known port
 MDS_GCS_PORT = 3335
 
 
-class MetadataBackend:
-    """BackendDriver over a MetadataStore."""
+class MetadataBackend(BackendDriver):
+    """Backend driver over a MetadataStore."""
 
     def __init__(self, kernel, *, stripe_width: int = 4, op_cost: float = 0.004):
         self.kernel = kernel
@@ -54,43 +63,55 @@ class MetadataBackend:
         self.op_cost = op_cost
         self._logical_time = 0.0
 
-    def execute(self, payload) -> Generator:
+    def execute(self, command: Command) -> Generator:
         yield self.kernel.timeout(self.op_cost)
         self._logical_time += 1.0
-        now = self._logical_time
-        if isinstance(payload, Mkdir):
-            return self.store.mkdir(payload.path, now=now)
-        if isinstance(payload, Create):
-            return self.store.create(payload.path, now=now)
-        if isinstance(payload, GetAttr):
-            return self.store.getattr(payload.path)
-        if isinstance(payload, SetAttr):
-            return self.store.setattr(payload.path, size=payload.size, now=now)
-        if isinstance(payload, ReadDir):
-            return self.store.readdir(payload.path)
-        if isinstance(payload, Unlink):
-            self.store.unlink(payload.path, now=now)
-            return None
-        if isinstance(payload, Rmdir):
-            self.store.rmdir(payload.path, now=now)
-            return None
-        if isinstance(payload, Rename):
-            self.store.rename(payload.src, payload.dst, now=now)
-            return None
-        if isinstance(payload, StatFs):
-            return self.store.statfs()
-        raise ReproError(f"unknown metadata operation {type(payload).__name__}")
+        try:
+            return self._apply(command.payload, self._logical_time)
+        except PVFSError as exc:
+            return ErrorResp("pvfs-error", f"{type(exc).__name__}: {exc}")
+
+    def _apply(self, op, now: float):
+        store = self.store
+        if isinstance(op, Mkdir):
+            return store.mkdir(op.path, now=now)
+        if isinstance(op, Create):
+            return store.create(op.path, now=now)
+        if isinstance(op, GetAttr):
+            return store.getattr(op.path)
+        if isinstance(op, SetAttr):
+            return store.setattr(op.path, size=op.size, now=now)
+        if isinstance(op, ReadDir):
+            return store.readdir(op.path)
+        if isinstance(op, Unlink):
+            return store.unlink(op.path, now=now)
+        if isinstance(op, Rmdir):
+            return store.rmdir(op.path, now=now)
+        if isinstance(op, Rename):
+            return store.rename(op.src, op.dst, now=now)
+        if isinstance(op, StatFs):
+            return store.statfs()
+        raise PVFSError(f"unknown metadata operation {type(op).__name__}")
 
     def snapshot(self) -> Generator:
         yield self.kernel.timeout(self.op_cost)
         state = self.store.snapshot()
         state["logical_time"] = self._logical_time
-        return state
+        return {"mode": "snapshot", "items": (state,), "next_seq": 0, "mutex": ()}
 
-    def restore(self, state) -> Generator:
+    def restore(self, response) -> Generator:
         yield self.kernel.timeout(self.op_cost)
-        self._logical_time = state.pop("logical_time", 0.0)
+        state = dict(response.items[0])
+        self._logical_time = state.pop("logical_time")
         self.store.restore(state)
+
+
+def _mds(node: "Node", driver: MetadataBackend, config: GroupConfig, **membership) -> ReplicaHost:
+    """One ``"pvfs-mds"`` daemon: *driver* on the replication core."""
+    return ReplicaHost(
+        node, "pvfs-mds", MDS_PORT, [driver],
+        gcs_port=MDS_GCS_PORT, group_config=config, **membership,
+    )
 
 
 @dataclass
@@ -101,11 +122,11 @@ class ReplicatedMDS:
     head_names: list[str]
     group_config: GroupConfig
 
-    def replica(self, head: str) -> ReplicatedService:
+    def replica(self, head: str) -> ReplicaHost:
         return self.cluster.node(head).daemon("pvfs-mds")  # type: ignore[return-value]
 
     def backend(self, head: str) -> MetadataBackend:
-        return self.replica(head).driver  # type: ignore[return-value]
+        return self.replica(head).shards[0].driver  # type: ignore[return-value]
 
     def addresses(self) -> list[Address]:
         return [Address(h, MDS_PORT) for h in self.head_names]
@@ -128,15 +149,9 @@ class ReplicatedMDS:
         self.cluster.heads.append(node)
         self.head_names.append(name)
         config = self.group_config
-
-        def factory(n: "Node") -> ReplicatedService:
-            return ReplicatedService(
-                n, "pvfs-mds", MetadataBackend(n.kernel),
-                port=MDS_PORT, gcs_port=MDS_GCS_PORT,
-                contacts=contacts, group_config=config,
-            )
-
-        node.add_daemon("pvfs-mds", factory)
+        node.add_daemon("pvfs-mds", lambda n: _mds(
+            n, MetadataBackend(n.kernel), config, contacts=contacts,
+        ))
         return node
 
 
@@ -153,12 +168,10 @@ def build_replicated_mds(
     )
     head_names = [h.name for h in cluster.heads]
 
-    def factory(node: "Node") -> ReplicatedService:
-        return ReplicatedService(
-            node, "pvfs-mds",
-            MetadataBackend(node.kernel, stripe_width=stripe_width),
-            port=MDS_PORT, gcs_port=MDS_GCS_PORT,
-            initial_members=head_names, group_config=config,
+    def factory(node: "Node") -> ReplicaHost:
+        return _mds(
+            node, MetadataBackend(node.kernel, stripe_width=stripe_width),
+            config, initial_heads=head_names,
         )
 
     for head in cluster.heads:

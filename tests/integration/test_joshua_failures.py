@@ -55,7 +55,7 @@ class TestSingleHeadFailure:
     def test_view_shrinks_after_crash(self, stack):
         stack.cluster.node("head0").crash()
         settle(stack, 3.0)
-        view = stack.joshua("head1").group.view
+        view = stack.joshua("head1").shards[0].group.view
         assert view.size == 1
 
     def test_completion_reported_to_survivors_only(self, stack):
@@ -74,7 +74,7 @@ class TestMultipleFailures:
         stack.cluster.node("head0").crash()
         stack.cluster.node("head1").crash()
         settle(stack, 4.0)
-        assert stack.joshua("head2").group.view.size == 1
+        assert stack.joshua("head2").shards[0].group.view.size == 1
         job_b = drive(stack, client.jsub(name="after", walltime=600))
         settle(stack, 1.0)
         survivor = stack.pbs("head2")
@@ -90,7 +90,7 @@ class TestMultipleFailures:
         job_id = drive(stack, client.jsub(name="last", walltime=600))
         settle(stack, 1.0)
         assert job_id in stack.pbs("head3").jobs
-        assert stack.joshua("head3").group.view.size == 1
+        assert stack.joshua("head3").shards[0].group.view.size == 1
 
     def test_jobs_complete_through_cascade(self):
         stack = make_stack(heads=3, seed=29)
@@ -120,7 +120,7 @@ class TestLaunchMutexUnderFailure:
 
         # Whichever head won, the job should complete exactly once even if
         # that head dies mid-flight.
-        winner = stack.joshua("head1").mutex.get(job_id)
+        winner = stack.joshua("head1").shards[0].driver.arbiter.entries.get(job_id)
         stack.cluster.run(until=60.0)
         assert stack.pbs("head1").jobs.get(job_id).state is JobState.COMPLETE
         assert total_runs(stack) == 1
@@ -128,7 +128,7 @@ class TestLaunchMutexUnderFailure:
     def test_revocation_requeues_unstarted_job(self, stack):
         """Directly exercise the revocation path: a claim by a dead head
         with no Started record is revoked and the job requeued."""
-        from repro.joshua.server import _MutexEntry
+        from repro.joshua.mutex import _MutexEntry
 
         client = stack.client()
         job_id = drive(stack, client.jsub(name="stranded", walltime=5.0))
@@ -136,7 +136,7 @@ class TestLaunchMutexUnderFailure:
         # Pretend head0 won the mutex but never launched (we fabricate the
         # entry on head1 and kill head0 before any real launch).
         joshua1 = stack.joshua("head1")
-        joshua1.mutex[job_id] = _MutexEntry("head0", started=False)
+        joshua1.shards[0].driver.arbiter.entries[job_id] = _MutexEntry("head0", started=False)
         stack.cluster.node("head0").crash()
         stack.cluster.run(until=60.0)
         # head1 revoked and the job eventually ran and completed.
@@ -146,7 +146,7 @@ class TestLaunchMutexUnderFailure:
     def test_started_claim_not_revoked(self, stack):
         job_id = drive(stack, stack.client().jsub(name="running", walltime=8.0))
         settle(stack, 3.0)  # definitely started
-        entry = stack.joshua("head1").mutex.get(job_id)
+        entry = stack.joshua("head1").shards[0].driver.arbiter.entries.get(job_id)
         assert entry is not None and entry.started
         stack.cluster.node("head0").crash()
         stack.cluster.run(until=60.0)
@@ -177,7 +177,7 @@ class TestNotifierRetry:
                 cluster.network.partitions.restore_link(compute.name, head)
         cluster.run(until=60.0)
         for head in stack.head_names:
-            assert job_id not in stack.joshua(head).mutex  # jdone released it
+            assert job_id not in stack.joshua(head).shards[0].driver.arbiter.entries  # jdone released it
             assert stack.pbs(head).jobs.get(job_id).state is JobState.COMPLETE
         assert total_runs(stack) == 1
         abandoned = sum(

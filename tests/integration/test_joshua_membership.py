@@ -124,7 +124,7 @@ class TestLeave:
         drive(stack, client.jsub(name="stay", walltime=900))
         stack.joshua("head0").leave()
         settle(stack, 4.0)
-        assert stack.joshua("head1").group.view.size == 1
+        assert stack.joshua("head1").shards[0].group.view.size == 1
         job_id = drive(stack, client.jsub(name="after-leave", walltime=900))
         settle(stack, 1.0)
         assert job_id in stack.pbs("head1").jobs
@@ -168,7 +168,7 @@ class TestAutomaticRejoin:
         settle(stack, 10.0)
         joshua0 = stack.joshua("head0")
         assert joshua0.active
-        assert joshua0.group.view.size == 2
+        assert joshua0.shards[0].group.view.size == 2
         assert queue_snapshot(stack, "head0") == queue_snapshot(stack, "head1")
 
     def test_daemon_kill_and_restart_rejoins(self, stack):
@@ -179,11 +179,11 @@ class TestAutomaticRejoin:
         node = stack.cluster.node("head0")
         node.stop_daemon("joshua")
         settle(stack, 3.0)  # group shrinks around the dead process
-        assert stack.joshua("head1").group.view.size == 1
+        assert stack.joshua("head1").shards[0].group.view.size == 1
         node.start_daemon("joshua")
         settle(stack, 10.0)
         assert stack.joshua("head0").active
-        assert stack.joshua("head1").group.view.size == 2
+        assert stack.joshua("head1").shards[0].group.view.size == 2
         # New work reaches both replicas again.
         job_id = drive(stack, client.jsub(name="after", walltime=900))
         settle(stack, 1.0)

@@ -142,7 +142,7 @@ class TestExactlyOnceExecution:
         job_id = drive(stack, stack.client().jsub(name="rel", walltime=1.0))
         stack.cluster.run(until=30.0)
         for head in stack.head_names:
-            assert job_id not in stack.joshua(head).mutex
+            assert job_id not in stack.joshua(head).shards[0].driver.arbiter.entries
 
 
 class TestOutputDedup:
@@ -171,5 +171,5 @@ class TestOutputDedup:
         client = stack.client()
         job_id = drive(stack, client.jsub(name="a", walltime=900))
         joshua = stack.joshua("head0")
-        cached = [v for v in joshua.results.values()]
+        cached = [v for v in joshua.shards[0].executor.results.values()]
         assert any(getattr(v, "job_id", None) == job_id for v in cached)

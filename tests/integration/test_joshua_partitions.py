@@ -39,12 +39,12 @@ class TestPartitionHealing:
         cluster.network.partitions.cut_link("head2", "head0")
         cluster.network.partitions.cut_link("head2", "head1")
         settle(stack, 4.0)
-        assert stack.joshua("head0").group.view.size == 2
-        assert stack.joshua("head2").group.view.size == 1
+        assert stack.joshua("head0").shards[0].group.view.size == 2
+        assert stack.joshua("head2").shards[0].group.view.size == 1
         cluster.network.partitions.restore_link("head2", "head0")
         cluster.network.partitions.restore_link("head2", "head1")
         settle(stack, 12.0)
-        sizes = {stack.joshua(h).group.view.size for h in stack.head_names}
+        sizes = {stack.joshua(h).shards[0].group.view.size for h in stack.head_names}
         assert sizes == {3}
 
     def test_majority_side_keeps_serving(self):
@@ -67,8 +67,8 @@ class TestPrimaryPartition:
         cluster.network.partitions.cut_link("head2", "head0")
         cluster.network.partitions.cut_link("head2", "head1")
         settle(stack, 4.0)
-        assert stack.joshua("head0").group.is_primary
-        assert not stack.joshua("head2").group.is_primary
+        assert stack.joshua("head0").shards[0].group.is_primary
+        assert not stack.joshua("head2").shards[0].group.is_primary
 
     def test_primary_lineage_and_the_two_node_problem(self):
         """3 -> 2 keeps primary (strict majority of 3). 2 -> 1 loses it:
@@ -81,10 +81,10 @@ class TestPrimaryPartition:
         settle(stack, 1.0)
         cluster.node("head0").crash()
         settle(stack, 4.0)
-        assert stack.joshua("head1").group.is_primary
+        assert stack.joshua("head1").shards[0].group.is_primary
         cluster.node("head2").crash()
         settle(stack, 4.0)
-        assert not stack.joshua("head1").group.is_primary
+        assert not stack.joshua("head1").shards[0].group.is_primary
 
     def test_paper_faithful_mode_keeps_serving_down_to_one(self):
         """Without the extension (the paper's configuration) the last head
@@ -95,7 +95,7 @@ class TestPrimaryPartition:
         settle(stack, 4.0)
         cluster.node("head2").crash()
         settle(stack, 4.0)
-        assert stack.joshua("head1").group.is_primary
+        assert stack.joshua("head1").shards[0].group.is_primary
         client = stack.client(node="login", prefer="head1")
         job_id = drive(stack, client.jsub(name="last-head", walltime=600))
         settle(stack, 1.0)

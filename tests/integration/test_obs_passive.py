@@ -36,7 +36,7 @@ def _spy_network_sends(stack, sink: list):
 def _summary(stack):
     cluster = stack.cluster
     deliveries = tuple(
-        (h, stack.joshua(h).group.stats["delivered"])
+        (h, stack.joshua(h).shards[0].group.stats["delivered"])
         for h in stack.head_names
         if cluster.node(h).is_up and "joshua" in cluster.node(h).daemons
     )

@@ -55,7 +55,7 @@ def run_planted_violation():
     # The planted violation: replay a slot every head already delivered
     # (from the suite's own order map), under a different message id, as
     # if head2's replica diverged.
-    member = stack.joshua("head1").group
+    member = stack.joshua("head1").shards[0].group
     key = (member.view.view_id, member.view.members)
     slot = suite._order[key]
     seq = max(slot)

@@ -1,15 +1,20 @@
-"""Unit tests for the generic active/active framework and diurnal workload."""
+"""Unit tests for the replication core with a minimal driver, and the
+diurnal workload."""
 
 import numpy as np
 import pytest
 
-from repro.aa.client import ReplicatedClient, ServiceError
-from repro.aa.replicated import ReplicatedService, ReplRequest, ReplResult
 from repro.bench.workloads import DiurnalWorkload
 from repro.cluster import Cluster
 from repro.gcs.config import GroupConfig
+from repro.joshua.host import ReplicaHost
+from repro.joshua.shard import BackendDriver
+from repro.joshua.wire import Command
 from repro.net.address import Address
-from repro.util.errors import JoshuaError, NoActiveHeadError, ReproError
+from repro.pbs.wire import ErrorResp, rpc_call
+from repro.pvfs import PVFSClient
+from repro.rpc import failover_call
+from repro.util.errors import JoshuaError, NoActiveHeadError, PBSError, ReproError
 
 FAST = GroupConfig(
     heartbeat_interval=0.1, suspect_timeout=0.35,
@@ -17,30 +22,37 @@ FAST = GroupConfig(
 )
 
 
-class CounterDriver:
+class CounterDriver(BackendDriver):
     """Minimal deterministic backend: an integer register."""
 
     def __init__(self, kernel):
         self.kernel = kernel
         self.value = 0
 
-    def execute(self, payload):
+    def execute(self, command):
         yield self.kernel.timeout(0.001)
-        kind, amount = payload
+        kind, amount = command.payload
         if kind == "add":
             self.value += amount
             return self.value
         if kind == "get":
             return self.value
-        raise ValueError(f"bad op {kind}")
+        return ErrorResp("counter-error", f"ValueError: bad op {kind}")
 
     def snapshot(self):
         yield self.kernel.timeout(0.001)
-        return self.value
+        return {"mode": "snapshot", "items": (self.value,), "next_seq": 0, "mutex": ()}
 
-    def restore(self, state):
+    def restore(self, response):
         yield self.kernel.timeout(0.001)
-        self.value = state
+        self.value = response.items[0]
+
+
+def counter_host(node, **membership):
+    return ReplicaHost(
+        node, "counter", 7000, [CounterDriver(node.kernel)],
+        gcs_port=7001, group_config=FAST, **membership,
+    )
 
 
 def deploy(n=2, seed=19):
@@ -48,17 +60,21 @@ def deploy(n=2, seed=19):
     names = [h.name for h in cluster.heads]
     services = {}
     for head in cluster.heads:
-        def factory(node):
-            return ReplicatedService(
-                node, "counter", CounterDriver(node.kernel),
-                port=7000, gcs_port=7001,
-                initial_members=names, group_config=FAST,
-            )
-        services[head.name] = head.add_daemon("counter", factory)
-    client = ReplicatedClient(
-        cluster.network, "login", [Address(nm, 7000) for nm in names]
-    )
-    return cluster, services, client
+        host = head.add_daemon(
+            "counter", lambda node: counter_host(node, initial_heads=names)
+        )
+        services[head.name] = host.shards[0]
+    replicas = [Address(nm, 7000) for nm in names]
+    uuids = iter(range(1_000_000))
+
+    def call(op):
+        return failover_call(
+            cluster.network, "login", replicas,
+            Command(f"counter-{next(uuids)}", op[0], op),
+            retry_error=lambda exc: str(exc).startswith("joining:"),
+        )
+
+    return cluster, services, call
 
 
 def drive(cluster, coroutine):
@@ -68,30 +84,29 @@ def drive(cluster, coroutine):
 
 class TestReplicatedService:
     def test_replicated_execution(self):
-        cluster, services, client = deploy()
-        assert drive(cluster, client.call(("add", 5))) == 5
-        assert drive(cluster, client.call(("add", 3))) == 8
+        cluster, services, call = deploy()
+        assert drive(cluster, call(("add", 5))) == 5
+        assert drive(cluster, call(("add", 3))) == 8
         cluster.run(until=cluster.kernel.now + 0.5)
         assert services["head0"].driver.value == 8
         assert services["head1"].driver.value == 8
 
     def test_backend_error_propagates_as_service_error(self):
-        cluster, _services, client = deploy()
-        with pytest.raises(ServiceError, match="ValueError"):
-            drive(cluster, client.call(("explode", 0)))
+        cluster, _services, call = deploy()
+        with pytest.raises(PBSError, match="ValueError"):
+            drive(cluster, call(("explode", 0)))
 
     def test_survives_replica_failure(self):
-        cluster, services, client = deploy(n=3)
-        drive(cluster, client.call(("add", 1)))
+        cluster, services, call = deploy(n=3)
+        drive(cluster, call(("add", 1)))
         cluster.node("head0").crash()
         cluster.run(until=cluster.kernel.now + 2.0)
-        assert drive(cluster, client.call(("add", 1))) == 2
+        assert drive(cluster, call(("add", 1))) == 2
         assert services["head1"].driver.value == 2
 
     def test_retry_same_uuid_cached(self):
-        from repro.pbs.wire import rpc_call
-        cluster, services, client = deploy()
-        request = ReplRequest("fixed", ("add", 10))
+        cluster, services, _call = deploy()
+        request = Command("fixed", "add", ("add", 10))
 
         def twice():
             a = yield from rpc_call(cluster.network, "login", Address("head0", 7000), request)
@@ -99,29 +114,26 @@ class TestReplicatedService:
             return a, b
 
         a, b = drive(cluster, twice())
-        assert a.value == b.value == 10
+        assert a == b == 10
         cluster.run(until=cluster.kernel.now + 0.5)
         assert services["head0"].driver.value == 10  # applied once
 
     def test_requires_membership_choice(self):
         cluster = Cluster(head_count=1, compute_count=0, seed=1)
         with pytest.raises(JoshuaError):
-            ReplicatedService(
-                cluster.heads[0], "x", CounterDriver(cluster.kernel),
-                port=7000, gcs_port=7001,
-            )
+            counter_host(cluster.heads[0])
 
     def test_all_replicas_down(self):
-        cluster, _services, client = deploy()
+        cluster, _services, call = deploy()
         cluster.node("head0").crash()
         cluster.node("head1").crash()
         with pytest.raises(NoActiveHeadError):
-            drive(cluster, client.call(("get", 0)))
+            drive(cluster, call(("get", 0)))
 
     def test_client_requires_replicas(self):
         cluster = Cluster(head_count=1, compute_count=0, seed=1)
         with pytest.raises(NoActiveHeadError):
-            ReplicatedClient(cluster.network, "head0", [])
+            PVFSClient(cluster.network, "head0", [])
 
 
 class TestDiurnalWorkload:

@@ -5,7 +5,8 @@ import pytest
 from repro.cluster import Cluster
 from repro.joshua import JoshuaServer, JoshuaClient
 from repro.joshua.config import ERA_2006_JOSHUA, JOSHUA_GROUP_CONFIG, JoshuaTimes
-from repro.joshua.server import _MutexEntry
+from repro.joshua.mutex import _MutexEntry
+from repro.joshua.pbs_driver import PBSDriver
 from repro.pbs.job import JobSpec, JobState
 from repro.util.errors import JoshuaError, NoActiveHeadError
 
@@ -62,15 +63,15 @@ class TestRowConversion:
         }
 
     def test_spec_from_row(self):
-        spec = JoshuaServer._spec_from_row(self.row())
+        spec = PBSDriver.spec_from_row(self.row())
         assert spec == JobSpec(name="x", owner="u", nodes=1, walltime=60.0)
 
     def test_job_from_row_states(self):
-        server = self.make_server()
-        assert server._job_from_row(self.row("Q")).state is JobState.QUEUED
-        assert server._job_from_row(self.row("H")).state is JobState.HELD
-        assert server._job_from_row(self.row("W")).state is JobState.WAITING
-        running = server._job_from_row(self.row("R", exec_nodes=["compute0"]))
+        driver = self.make_server().shards[0].driver
+        assert driver.job_from_row(self.row("Q")).state is JobState.QUEUED
+        assert driver.job_from_row(self.row("H")).state is JobState.HELD
+        assert driver.job_from_row(self.row("W")).state is JobState.WAITING
+        running = driver.job_from_row(self.row("R", exec_nodes=["compute0"]))
         assert running.state is JobState.RUNNING
         assert running.exec_nodes == ("compute0",)
 
@@ -114,12 +115,12 @@ class TestMutexBookkeeping:
         stack = make_stack()
         settle(stack, 0.5)
         joshua = stack.joshua("head0")
-        joshua.mutex["9.joshua"] = _MutexEntry("head0", started=True)
+        joshua.shards[0].driver.arbiter.entries["9.joshua"] = _MutexEntry("head0", started=True)
         from repro.joshua.wire import Done
-        joshua.group.multicast(Done("9.joshua"))
+        joshua.shards[0].group.multicast(Done("9.joshua"))
         settle(stack, 1.0)
-        assert "9.joshua" not in joshua.mutex
-        assert "9.joshua" not in stack.joshua("head1").mutex
+        assert "9.joshua" not in joshua.shards[0].driver.arbiter.entries
+        assert "9.joshua" not in stack.joshua("head1").shards[0].driver.arbiter.entries
 
 
 class TestClientBehaviour:

@@ -18,8 +18,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 #: Layer order, lowest first. A module in layer i may import repro.<layer j>
-#: only for j <= i. Packages not listed (cluster, aa, pvfs, faults, bench,
-#: cli, workload, …) sit above the stack and are unconstrained.
+#: only for j <= i. Packages not listed (cluster, pvfs, faults, bench, cli,
+#: workload, …) sit above the stack and are unconstrained.
 LAYERS = ["util", "sim", "net", "rpc", "obs", "gcs", "pbs", "joshua"]
 RANK = {name: index for index, name in enumerate(LAYERS)}
 
@@ -55,6 +55,21 @@ def test_layered_imports():
                         f"(higher layer)"
                     )
     assert not violations, "layering contract violated:\n" + "\n".join(violations)
+
+
+#: Mirrors the ``forbidden`` contract in ``pyproject.toml``: the replication
+#: core stays resource-agnostic — every PBS specific lives in the PBS driver.
+CORE_MODULES = ["joshua/shard.py", "joshua/executor.py", "joshua/xfer.py"]
+
+
+def test_replication_core_does_not_import_pbs():
+    violations = [
+        f"{module}:{lineno} imports repro.pbs"
+        for module in CORE_MODULES
+        for imported, lineno in _imported_repro_packages(SRC / module)
+        if imported == "pbs"
+    ]
+    assert not violations, "replication core imports PBS:\n" + "\n".join(violations)
 
 
 def test_all_layers_have_modules():

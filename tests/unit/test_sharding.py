@@ -152,7 +152,7 @@ class TestStriping:
         stack.cluster.run(until=0.0)
         joshua = stack.joshua("head0")
         seqs = {
-            r.index: [r.next_forced_job_id() for _ in range(3)]
+            r.index: [r.driver.next_forced_job_id() for _ in range(3)]
             for r in joshua.shards
         }
         assert seqs[0] == ["1.joshua", "4.joshua", "7.joshua"]
@@ -163,8 +163,8 @@ class TestStriping:
         stack = sharded_stack(1)
         stack.cluster.run(until=0.0)
         joshua = stack.joshua("head0")
-        assert joshua.shards[0].next_forced_job_id() is None
-        assert joshua.shards[0].stripe_count == 0
+        assert joshua.shards[0].driver.next_forced_job_id() is None
+        assert joshua.shards[0].driver.stripe_count == 0
 
     def test_forced_id_owns_its_routing_stripe(self):
         # Round trip: the id a shard forces must route back to that shard.
@@ -173,7 +173,7 @@ class TestStriping:
         joshua = stack.joshua("head0")
         for replica in joshua.shards:
             for _ in range(4):
-                jid = replica.next_forced_job_id()
+                jid = replica.driver.next_forced_job_id()
                 assert joshua.shard_for_job(jid) is replica
 
 
@@ -187,11 +187,3 @@ class TestFacadeCompat:
         assert joshua.stats["executed"] == 7
         assert len(joshua.groups) == 2
         assert joshua.group is joshua.shards[0].group
-
-    def test_single_shard_exposes_real_objects(self):
-        stack = sharded_stack(1)
-        stack.cluster.run(until=0.0)
-        joshua = stack.joshua("head0")
-        assert joshua.mutex is joshua.shards[0].arbiter.entries
-        assert joshua.results is joshua.shards[0].executor.results
-        assert joshua.command_log is joshua.shards[0].executor.command_log

@@ -28,7 +28,7 @@ def _instrument(stack):
     trace = {"deliveries": [], "views": []}
     for head in stack.head_names:
         joshua = stack.joshua(head)
-        member = joshua.group
+        member = joshua.shards[0].group
         inner = member.on_deliver
         inner_view = member.on_view
 
