@@ -488,7 +488,6 @@ CODEC_MODULES = (
     CodecSpec("joshua/wire.py"),
     CodecSpec("pvfs/wire.py"),
     CodecSpec("pvfs/metadata.py"),
-    CodecSpec("aa/replicated.py"),
 )
 
 _RECORD_REGISTER = "register_wire_types"

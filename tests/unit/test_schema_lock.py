@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 # Import every wire module so the shared registry is fully populated.
-import repro.aa.replicated  # noqa: F401
 import repro.gcs.messages  # noqa: F401
 import repro.joshua.wire  # noqa: F401
 import repro.net.frames  # noqa: F401
