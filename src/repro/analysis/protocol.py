@@ -98,8 +98,9 @@ ERROR_KINDS_EXEMPT = {
     "pbs-error": "generic server failure wrapper, surfaced to the user as-is",
     "bad-request": "malformed/unroutable request; a correct client never sees it",
     "bad-command": "unknown replicated command kind; a correct client never sees it",
-    "pvfs-error": "deterministic metadata error, re-raised as ServiceError by "
-                  "the PVFS client (pvfs/client.py) without branching on it",
+    "service-error": "a backend exception the replication core relays as the "
+                     "command's result (joshua/wire.py service_error); the PVFS "
+                     "client re-raises it as ServiceError without branching on it",
     "retry": "consumed generically: the state-transfer puller retries on any "
              "PBSError (joshua/xfer.py)",
 }

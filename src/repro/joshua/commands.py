@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.joshua.wire import JDelReq, JStatReq, JSubReq, SeqStampedResp
+from repro.joshua.wire import JDelReq, JStatReq, JSubReq, SeqStampedResp, is_joining
 from repro.net.address import Address
 from repro.net.network import Network
 from repro.obs.collector import collector_of
@@ -105,7 +105,7 @@ class JoshuaClient:
                 [Address(h, _JOSHUA_PORT) for h in self._ordered_heads()],
                 payload,
                 timeout=self.timeout,
-                retry_error=lambda exc: "joining" in str(exc),
+                retry_error=is_joining,
                 stats=self.stats,
                 what=f"no active head answered {type(payload).__name__}",
             )

@@ -19,10 +19,17 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.gcs.messages import SAFE
-from repro.joshua.wire import Command, SeqStampedResp, XferMarker
+from repro.joshua.wire import (
+    Command,
+    SeqStampedResp,
+    XferMarker,
+    refuse_joining,
+    service_error,
+)
 from repro.net.address import Address
 from repro.obs.collector import collector_of
 from repro.sim.resources import Store
+from repro.util.errors import Interrupt, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.joshua.shard import ShardReplica
@@ -59,7 +66,7 @@ class SerialExecutor:
             # Inactive (state transfer in progress) or mid-(re)join after an
             # exclusion: either way we cannot order the command — send the
             # client to another replica instead of crashing on the multicast.
-            return s.server.refuse_joining()
+            return refuse_joining()
         uuid = payload.uuid
         track = bool(getattr(payload, "track_seq", False))
         if uuid in self.results:
@@ -123,7 +130,12 @@ class SerialExecutor:
             self.answer(command.uuid)
             return
         self.command_log.append(command)
-        result = yield from s.driver.execute(command)
+        try:
+            result = yield from s.driver.execute(command)
+        except (Interrupt, SimulationError):
+            raise  # a daemon stop or a kernel fault, not the command's
+        except Exception as exc:  # deterministic: same error at every replica
+            result = service_error(exc)
         self.results[command.uuid] = result
         s.note_applied()
         if s.seq_exact:

@@ -154,11 +154,6 @@ class ReplicaHost(Daemon):
     def _reply(self, dst: Address, request_id: int, response) -> None:
         self.rpc.reply(dst, request_id, response)
 
-    def refuse_joining(self) -> ErrorResp:
-        """The answer of a replica that cannot order commands right now
-        (mid-join or mid-rejoin): the client fails over to another one."""
-        return ErrorResp("joining", "head is joining; retry another")
-
     def _handle_command(self, src: Address, request_id: int, payload):
         return self.shards[0].executor.submit(src, request_id, payload)
 

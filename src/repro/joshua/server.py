@@ -57,6 +57,7 @@ from repro.joshua.wire import (
     JSubReq,
     Started,
     StateXferReq,
+    refuse_joining,
 )
 from repro.net.address import Address
 from repro.obs.collector import collector_of
@@ -231,7 +232,7 @@ class JoshuaServer(ReplicaHost):
             else [self.shard_for_job(req.job_id)]
         )
         if not all(replica.active for replica in gating):
-            return self.refuse_joining()
+            return refuse_joining()
         floors = dict(req.min_seq) if req.consistency == "ryw" else {}
         unmet = []
         for replica in gating:
@@ -263,7 +264,7 @@ class JoshuaServer(ReplicaHost):
                     )
             if not all(replica.active for replica in gating):
                 # Demoted (view change / resync) while we waited.
-                return self.refuse_joining()
+                return refuse_joining()
         # Reserve this head's serial read occupancy (floor-waiting above
         # costs none — a blocked read burns no CPU).
         start = max(self.kernel.now, self._read_busy_until)
@@ -333,11 +334,11 @@ class JoshuaServer(ReplicaHost):
             return JMutexResp("ok")
         # Refuse rather than ack-and-drop: the mom's notifier must
         # move on to a head that can actually record the event.
-        return ErrorResp("joining", "not in view")
+        return refuse_joining("not in view")
 
     def _handle_done(self, src: Address, request_id: int, payload: JDoneReq):
         replica = self.shard_for_job(payload.job_id)
         if replica.active and replica.group.can_multicast:
             replica.group.multicast(Done(payload.job_id))
             return JMutexResp("ok")
-        return ErrorResp("joining", "not in view")
+        return refuse_joining("not in view")

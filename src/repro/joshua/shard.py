@@ -82,7 +82,9 @@ class BackendDriver:
         return request
 
     def execute(self, command: Command) -> Generator:  # pragma: no cover
-        """Apply one delivered command; returns its (cached) result."""
+        """Apply one delivered command; returns its (cached) result. An
+        exception it raises is cached and relayed as the result instead
+        (:func:`~repro.joshua.wire.service_error`)."""
         raise NotImplementedError
 
     def reply_pause(self) -> Generator:

@@ -16,12 +16,14 @@ from typing import Any
 from repro.net.address import Address
 from repro.net.codec import elided_repr, mark_wire_optional, register_wire_types
 from repro.pbs.job import JobSpec
+from repro.pbs.wire import ErrorResp
 
 __all__ = [
     "JSubReq", "JDelReq", "JStatReq", "JStatResp", "SeqStampedResp",
     "JMutexReq", "JMutexResp", "JStartedReq", "JDoneReq",
     "StateXferReq", "StateXferResp", "XferPush",
     "Command", "Claim", "Started", "Done", "XferMarker",
+    "JOINING", "refuse_joining", "is_joining", "service_error",
 ]
 
 
@@ -239,3 +241,29 @@ register_wire_types(
     StateXferReq, StateXferResp, XferPush,
     Command, Claim, Started, Done, XferMarker,
 )
+
+
+# -- error answers of a replica ------------------------------------------------
+
+#: ``ErrorResp`` kind of a replica that cannot order commands right now
+#: (mid-join or mid-rejoin): not an application error, just the wrong
+#: replica to ask — the client fails over to another one.
+JOINING = "joining"
+
+
+def refuse_joining(message: str = "head is joining; retry another") -> ErrorResp:
+    """The answer of a replica that cannot order a request right now."""
+    return ErrorResp(JOINING, message)
+
+
+def is_joining(exc: Exception) -> bool:
+    """Whether a relayed error (``"<kind>: <message>"``) is a joining
+    refusal — the ``retry_error`` predicate of every failover client."""
+    return str(exc).startswith(f"{JOINING}:")
+
+
+def service_error(exc: Exception) -> ErrorResp:
+    """The cached, replicated result of a command whose backend raised:
+    every replica fails the same deterministic command the same way, so the
+    error is relayed to the client instead of killing the executors."""
+    return ErrorResp("service-error", f"{type(exc).__name__}: {exc}")

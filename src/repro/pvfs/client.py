@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from repro.joshua.wire import Command
+from repro.joshua.wire import Command, is_joining
 from repro.net.address import Address
 from repro.net.network import Network
 from repro.pvfs.metadata import FileAttr
@@ -28,12 +28,6 @@ __all__ = ["PVFSClient", "ServiceError"]
 class ServiceError(ReproError):
     """The metadata service rejected the request (deterministically —
     every replica produced the same error)."""
-
-
-def _joining(exc: PBSError) -> bool:
-    # A replica still mid-join answers "joining": not an application
-    # error, just the wrong replica to ask — fail over.
-    return str(exc).startswith("joining:")
 
 
 class PVFSClient:
@@ -77,11 +71,11 @@ class PVFSClient:
                 self.network, self.node, self._ordered(),
                 Command(uuid, type(op).__name__.lower(), op),
                 timeout=self.timeout,
-                retry_error=_joining,
+                retry_error=is_joining,
                 stats=self.stats,
                 what="no replica answered",
             )
-        except PBSError as exc:  # the relayed ErrorResp("pvfs-error", ...)
+        except PBSError as exc:  # the relayed ErrorResp("service-error", ...)
             raise ServiceError(str(exc)) from None
         return result
 

@@ -13,9 +13,10 @@ replicas bit-identical:
 * **service times** — each operation charges a per-op CPU cost, so the
   latency benches reflect 2006-class metadata performance.
 
-Operations that fail in the store (:class:`~repro.pvfs.metadata.PVFSError`)
-fail identically at every replica; their error is the cached, replicated
-result, relayed to the client as an ``ErrorResp("pvfs-error", …)``.
+An operation that raises (a :class:`~repro.pvfs.metadata.PVFSError` from
+the store, or a bad argument) fails identically at every replica; the
+replication core caches its error as the replicated result and relays it
+to the client as an ``ErrorResp("service-error", …)``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.joshua.host import ReplicaHost
 from repro.joshua.shard import BackendDriver
 from repro.joshua.wire import Command
 from repro.net.address import Address
-from repro.pbs.wire import ErrorResp
 from repro.pvfs.metadata import MetadataStore, PVFSError
 from repro.pvfs.wire import (
     Create,
@@ -66,10 +66,7 @@ class MetadataBackend(BackendDriver):
     def execute(self, command: Command) -> Generator:
         yield self.kernel.timeout(self.op_cost)
         self._logical_time += 1.0
-        try:
-            return self._apply(command.payload, self._logical_time)
-        except PVFSError as exc:
-            return ErrorResp("pvfs-error", f"{type(exc).__name__}: {exc}")
+        return self._apply(command.payload, self._logical_time)
 
     def _apply(self, op, now: float):
         store = self.store

@@ -87,6 +87,19 @@ class TestReplication:
         for head in mds.head_names:
             assert mds.backend(head).store.statfs()["directories"] == 2
 
+    def test_bad_argument_contained_as_service_error(self):
+        """An operation the store raises on for a non-PVFS reason (a bad
+        argument) fails at every replica and leaves them all serving."""
+        cluster, mds, client = make_mds()
+        drive(cluster, client.create("/f"))
+        with pytest.raises(ServiceError, match="TypeError"):
+            drive(cluster, client.setattr("/f", size=None))
+        attr = drive(cluster, client.setattr("/f", size=10))
+        assert attr.size == 10
+        cluster.run(until=cluster.kernel.now + 1.0)
+        for head in mds.head_names:
+            assert mds.backend(head).store.getattr("/f").size == 10
+
     def test_exactly_once_under_retry(self):
         """The uuid dedup: retrying a create to a second replica must not
         allocate twice."""

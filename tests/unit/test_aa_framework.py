@@ -9,9 +9,9 @@ from repro.cluster import Cluster
 from repro.gcs.config import GroupConfig
 from repro.joshua.host import ReplicaHost
 from repro.joshua.shard import BackendDriver
-from repro.joshua.wire import Command
+from repro.joshua.wire import Command, is_joining
 from repro.net.address import Address
-from repro.pbs.wire import ErrorResp, rpc_call
+from repro.pbs.wire import rpc_call
 from repro.pvfs import PVFSClient
 from repro.rpc import failover_call
 from repro.util.errors import JoshuaError, NoActiveHeadError, PBSError, ReproError
@@ -37,7 +37,7 @@ class CounterDriver(BackendDriver):
             return self.value
         if kind == "get":
             return self.value
-        return ErrorResp("counter-error", f"ValueError: bad op {kind}")
+        raise ValueError(f"bad op {kind}")
 
     def snapshot(self):
         yield self.kernel.timeout(0.001)
@@ -71,7 +71,7 @@ def deploy(n=2, seed=19):
         return failover_call(
             cluster.network, "login", replicas,
             Command(f"counter-{next(uuids)}", op[0], op),
-            retry_error=lambda exc: str(exc).startswith("joining:"),
+            retry_error=is_joining,
         )
 
     return cluster, services, call
@@ -92,9 +92,13 @@ class TestReplicatedService:
         assert services["head1"].driver.value == 8
 
     def test_backend_error_propagates_as_service_error(self):
-        cluster, _services, call = deploy()
-        with pytest.raises(PBSError, match="ValueError"):
+        cluster, services, call = deploy()
+        with pytest.raises(PBSError, match="service-error: ValueError: bad op explode"):
             drive(cluster, call(("explode", 0)))
+        # The exception was contained: every executor still serves.
+        assert drive(cluster, call(("add", 2))) == 2
+        cluster.run(until=cluster.kernel.now + 0.5)
+        assert [services[h].driver.value for h in ("head0", "head1")] == [2, 2]
 
     def test_survives_replica_failure(self):
         cluster, services, call = deploy(n=3)
