@@ -27,7 +27,8 @@ view's totally ordered prefix.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+import itertools
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.gcs.batching import DataBatcher
 from repro.gcs.config import GroupConfig
@@ -71,6 +72,22 @@ __all__ = [
     "FLUSHING",
     "STOPPED",
 ]
+
+
+def _message_counter(network, address: Address) -> Iterator[int]:
+    """The multicast counter of *address*, shared by all its incarnations.
+
+    A restarted process re-uses its address, so a counter that restarted
+    at 0 would re-issue ids the survivors already delivered and suppress
+    the new incarnation's messages as duplicates. Keeping the counter per
+    simulation (like the transport's channel epochs) makes each
+    incarnation resume above its predecessor, as a boot-time incarnation
+    stamp would; a member's first life still counts from 0.
+    """
+    counters = getattr(network, "_gcs_message_counters", None)
+    if counters is None:
+        counters = network._gcs_message_counters = {}
+    return counters.setdefault(address, itertools.count())
 
 
 class GroupMember:
@@ -163,7 +180,7 @@ class GroupMember:
 
         self.state = IDLE
         self.view: View | None = None
-        self._msg_counter = 0
+        self._msg_counter = _message_counter(self.network, self.address)
         #: Own multicasts not yet delivered: msg_id -> (service, payload).
         self._own_pending: dict[MessageId, tuple[str, Any]] = {}
         self._last_stable_sent = -1
@@ -264,8 +281,7 @@ class GroupMember:
             raise GroupCommError(f"unknown service {service!r}")
         if not self.can_multicast:
             raise NotInView(f"multicast in state {self.state}")
-        msg_id = MessageId(self.address, self._msg_counter)
-        self._msg_counter += 1
+        msg_id = MessageId(self.address, next(self._msg_counter))
         self._own_pending[msg_id] = (service, payload)
         self.stats["multicasts"] += 1
         collector = collector_of(self.network)
@@ -491,9 +507,11 @@ class GroupMember:
         """Cut over every component to *view*, delivering its closing list
         as the totally ordered prefix. Called by the flush engine when a
         ``NewView`` lands (and by :meth:`boot` for the static view)."""
-        departed = (
-            set(self.view.members) - set(view.members) if self.view is not None else set()
-        )
+        old_members = set(self.view.members) if self.view is not None else set()
+        # A member that announced a fresh incarnation lost its channel state
+        # with its earlier life, even when this view re-admits it directly
+        # (we may have skipped the view that excluded it).
+        departed = (old_members - set(view.members)) | (self.flush.rejoining & old_members)
         # Sorted: forget_peer allocates reopen epochs from a simulation-wide
         # counter, so with >= 2 departures the iteration order is on the wire.
         for gone in sorted(departed):

@@ -40,7 +40,11 @@ SAFE = "safe"
 
 
 class MessageId(NamedTuple):
-    """Globally unique multicast identity: (sender, per-sender counter)."""
+    """Globally unique multicast identity: (sender, per-sender counter).
+
+    The counter keeps rising across a sender's incarnations (a restarted
+    process resumes above its predecessor), so an address never re-issues
+    an id."""
 
     sender: Address
     counter: int

@@ -189,6 +189,34 @@ class TestAutomaticRejoin:
         settle(stack, 1.0)
         assert job_id in stack.pbs("head0").jobs
 
+    @pytest.mark.parametrize("down", [0.1, 3.0])
+    @pytest.mark.parametrize("how", ["node", "daemon"])
+    def test_head_that_multicast_many_commands_rejoins(self, how, down):
+        """The earlier incarnation of head0 multicast every one of ten
+        commands. Its new incarnation re-uses the address, so its message
+        ids must not collide with ids the survivors already delivered:
+        otherwise its state-transfer marker is dropped as a duplicate and
+        it never becomes active."""
+        stack = make_stack(heads=3)
+        client = stack.client(node="login", prefer="head0")
+        for i in range(10):
+            drive(stack, client.jsub(name=f"r{i}", walltime=900))
+        node = stack.cluster.node("head0")
+        if how == "node":
+            node.crash()
+            settle(stack, down)
+            node.restart()
+        else:
+            node.stop_daemon("joshua")
+            settle(stack, down)
+            node.start_daemon("joshua")
+        settle(stack, 15.0)
+        assert all(stack.joshua(h).active for h in ("head0", "head1", "head2"))
+        assert queue_snapshot(stack, "head0") == queue_snapshot(stack, "head1")
+        job_id = drive(stack, client.jsub(name="after", walltime=900))
+        settle(stack, 1.0)
+        assert all(job_id in stack.pbs(h).jobs for h in ("head0", "head1", "head2"))
+
 
 class TestCrashedHeadRejoins:
     def test_crashed_head_rejoins_after_restart(self, stack):
