@@ -1,7 +1,7 @@
 """Persistent storage that survives node crashes.
 
-Two flavours, both simple key/value namespaces with deep-copy semantics so a
-daemon can never accidentally share a live object with "disk":
+Two flavours, both plain key/value namespaces that store and return exactly
+the value they are given:
 
 * :class:`Disk` — a node's local disk. Survives the node's crash/restart
   cycle (TORQUE persists its job queue this way).
@@ -9,47 +9,34 @@ daemon can never accidentally share a live object with "disk":
   the active/standby baseline ("service state is saved regularly to some
   shared stable storage", §2 of the paper).
 
-Writes take effect immediately (the simulated fsync cost is folded into the
-service-time constants of the daemons that use them).
+Values must be immutable (tuples of frozen records, numbers, strings): the
+store keeps a reference, not a copy, so a value a daemon mutated after
+writing would change "on disk" too. Writes take effect immediately (the
+simulated fsync cost is folded into the service-time constants of the
+daemons that use them).
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Any
 
 __all__ = ["Disk", "SharedStorage"]
 
 
 class Disk:
-    """A node-local persistent key/value store."""
+    """A node-local persistent key/value store of immutable values."""
 
     def __init__(self, node_name: str):
         self.node_name = node_name
         self._data: dict[str, Any] = {}
 
     def write(self, key: str, value: Any) -> None:
-        """Persist a deep copy of *value* under *key*."""
-        self._data[key] = copy.deepcopy(value)
+        """Persist *value* (immutable; stored by reference) under *key*."""
+        self._data[key] = value
 
     def read(self, key: str, default: Any = None) -> Any:
-        """Return a deep copy of the stored value (or *default*)."""
-        if key not in self._data:
-            return default
-        return copy.deepcopy(self._data[key])
-
-    def delete(self, key: str) -> None:
-        self._data.pop(key, None)
-
-    def keys(self) -> list[str]:
-        return sorted(self._data)
-
-    def wipe(self) -> None:
-        """Destroy all contents (disk replacement, not crash)."""
-        self._data.clear()
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._data
+        """Return the value last written under *key* (or *default*)."""
+        return self._data.get(key, default)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Disk {self.node_name} keys={len(self._data)}>"

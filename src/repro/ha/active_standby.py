@@ -31,7 +31,8 @@ from repro.pbs.mom import PBSMom
 from repro.pbs.scheduler import MauiScheduler
 from repro.pbs.server import PBS_MOM_PORT, PBS_SERVER_PORT, PBSServer
 from repro.pbs.service_times import ERA_2006, ServiceTimes
-from repro.pbs.wire import AdminServers, RpcTimeout, SchedPollReq, rpc_call
+from repro.pbs.wire import AdminServers, SchedPollReq
+from repro.rpc import RpcTimeout, call as rpc_call
 from repro.util.errors import PBSError
 
 if TYPE_CHECKING:  # pragma: no cover

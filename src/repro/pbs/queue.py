@@ -69,9 +69,10 @@ class JobQueue:
     def running(self) -> list[Job]:
         return self.in_state(JobState.RUNNING, JobState.EXITING)
 
-    def snapshot(self) -> list[Job]:
-        """All jobs in submission order (jobs are immutable; safe to share)."""
-        return list(self._jobs.values())
+    def snapshot(self) -> tuple[Job, ...]:
+        """All jobs in submission order, as an immutable tuple (jobs are
+        frozen, so the snapshot is safe to share and to store)."""
+        return tuple(self._jobs.values())
 
     def to_wire(self) -> list[dict]:
         # repro-lint: ignore[R3] submission (insertion) order IS the FIFO queue semantics

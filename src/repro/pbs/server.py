@@ -49,9 +49,8 @@ from repro.pbs.wire import (
     StatResp,
     SubmitReq,
     SubmitResp,
-    rpc_call,
 )
-from repro.rpc import ResponseCache, RpcDispatcher
+from repro.rpc import ResponseCache, RpcDispatcher, call as rpc_call
 from repro.util.errors import InvalidJobStateError, PBSError, UnknownJobError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,9 +79,6 @@ class PBSServer(Daemon):
         replica construction painful.
     service_times:
         Calibrated processing costs.
-    requeue_on_recovery:
-        Jobs found RUNNING in the recovered queue are requeued (default,
-        the paper's restart semantics) instead of marked complete-lost.
     """
 
     def __init__(
@@ -93,13 +89,11 @@ class PBSServer(Daemon):
         server_name: str = "torque",
         port: int = PBS_SERVER_PORT,
         service_times: ServiceTimes = ERA_2006,
-        requeue_on_recovery: bool = True,
     ):
         super().__init__(node, "pbs_server", port)
         self.moms = list(moms)
         self.server_name = server_name
         self.times = service_times
-        self.requeue_on_recovery = requeue_on_recovery
         self.jobs = JobQueue()
         self.accounting = AccountingLog()
         self.next_seq = 1
@@ -166,33 +160,31 @@ class PBSServer(Daemon):
         return f"pbs.{self.server_name}"
 
     def _persist(self) -> None:
-        self.node.disk.write(
-            self._disk_key(),
-            {"jobs": self.jobs.snapshot(), "next_seq": self.next_seq},
-        )
+        """Write the job table to disk as an immutable ``(jobs, next_seq)``
+        pair: a tuple of frozen jobs is safe to store by reference."""
+        self.node.disk.write(self._disk_key(), (self.jobs.snapshot(), self.next_seq))
+
+    def _commit(self, job: Job, event: str | None = None) -> None:
+        """Replace *job* in the table, persist, then announce *event*."""
+        self.jobs.update(job)
+        self._persist()
+        if event is not None:
+            self._notify(event, job)
 
     def _recover(self) -> None:
         saved = self.node.disk.read(self._disk_key())
-        if not saved:
+        if saved is None:
             return
-        self.next_seq = saved["next_seq"]
-        for job in saved["jobs"]:
+        jobs, self.next_seq = saved
+        for job in jobs:
             if job.state in (JobState.RUNNING, JobState.EXITING):
-                if self.requeue_on_recovery:
-                    job = job.transition(
-                        JobState.QUEUED,
-                        start_time=None,
-                        exec_nodes=(),
-                        comment="requeued after server recovery",
-                    )
-                    self.stats["recovered"] += 1
-                else:
-                    job = job.transition(
-                        JobState.COMPLETE,
-                        end_time=self.kernel.now,
-                        exit_status=-1,
-                        comment="lost in server failure",
-                    )
+                job = job.transition(
+                    JobState.QUEUED,
+                    start_time=None,
+                    exec_nodes=(),
+                    comment="requeued after server recovery",
+                )
+                self.stats["recovered"] += 1
             self.jobs.add(job)
 
     # -- observability -------------------------------------------------------
@@ -250,8 +242,7 @@ class PBSServer(Daemon):
             # ordinary obituary with the killed exit status.
             mom = self._mom_for(job.exec_nodes[0])
             job = job.transition(JobState.EXITING, comment="qdel")
-            self.jobs.update(job)
-            self._persist()
+            self._commit(job)
             yield from rpc_call(
                 self.node.network, self.node.name, mom, KillJobReq(job.job_id),
                 timeout=1.0,
@@ -263,26 +254,18 @@ class PBSServer(Daemon):
                 exit_status=None,
                 comment="deleted by user",
             )
-            self.jobs.update(job)
-            self._persist()
             self.stats["deleted"] += 1
-            self._notify("D", job)
+            self._commit(job, "D")
         return DeleteResp(job.job_id)
 
     def _do_hold(self, req: HoldReq) -> SimpleResp:
         job = self.jobs.get(req.job_id)
-        job = job.transition(JobState.HELD, comment="user hold")
-        self.jobs.update(job)
-        self._persist()
-        self._notify("H", job)
+        self._commit(job.transition(JobState.HELD, comment="user hold"), "H")
         return SimpleResp()
 
     def _do_release(self, req: ReleaseReq) -> SimpleResp:
         job = self.jobs.get(req.job_id)
-        job = job.transition(JobState.QUEUED, comment="released")
-        self.jobs.update(job)
-        self._persist()
-        self._notify("R", job)
+        self._commit(job.transition(JobState.QUEUED, comment="released"), "R")
         return SimpleResp()
 
     def _do_signal(self, req: SignalReq) -> SimpleResp:
@@ -307,9 +290,7 @@ class PBSServer(Daemon):
             exec_nodes=(),
             comment="requeued by qrerun",
         )
-        self.jobs.update(job)
-        self._persist()
-        self._notify("R", job)
+        self._commit(job, "R")
         return SimpleResp()
 
     def _do_purge(self, req: PurgeReq) -> SimpleResp:
@@ -394,9 +375,7 @@ class PBSServer(Daemon):
             run_count=job.run_count + 1,
             comment=f"started ({response.mode})",
         )
-        self.jobs.update(job)
-        self._persist()
-        self._notify("S", job)
+        self._commit(job, "S")
         return RunJobResp(True, response.mode)
 
     def _mom_for(self, node_name: str) -> Address:
@@ -430,7 +409,6 @@ class PBSServer(Daemon):
             exit_status=obit.exit_status,
             comment="killed" if obit.exit_status == KILLED_EXIT_STATUS else "finished",
         )
-        self.jobs.update(job)
         # Free every local allocation held by this job — not only the
         # nodes the obituary names: a replicated server whose (emulated)
         # dispatch chose different nodes than the actual execution must
@@ -438,6 +416,5 @@ class PBSServer(Daemon):
         for node_name, owner in sorted(self.allocations.items()):
             if owner == obit.job_id:
                 self.allocations[node_name] = None
-        self._persist()
         self.stats["completed"] += 1
-        self._notify("E", job)
+        self._commit(job, "E")

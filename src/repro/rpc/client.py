@@ -63,7 +63,7 @@ def call(
     :class:`RpcTimeout` after the policy's attempts are exhausted and
     :class:`PBSError` if the server answered with an error-relay response.
     ``timeout``/``retries`` are shorthand overrides of *policy* (default:
-    2 s, no retries — the historical ``rpc_call`` defaults).
+    :data:`DEFAULT_POLICY`, 2 s and no retries).
     """
     if policy is None:
         policy = DEFAULT_POLICY

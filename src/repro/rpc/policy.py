@@ -3,9 +3,7 @@
 One :class:`RetryPolicy` value describes the full client-side persistence
 behaviour of a call: per-attempt deadline, how many retries follow the
 first attempt, and an optional exponential backoff between attempts.
-The default (2 s deadline, no retries, no backoff) matches the historical
-``rpc_call`` defaults, so porting a call site is behaviour-preserving
-unless it opts into more.
+The default is a 2 s deadline, no retries and no backoff.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ import pytest
 from repro.cluster import Cluster
 from repro.ha import ActiveStandbySystem, AsymmetricSystem, ServiceProbe, SingleHeadSystem
 from repro.pbs.job import JobSpec, JobState
+from repro.rpc.errors import RpcTimeout
 from repro.util.errors import NoActiveHeadError, PBSError
-from repro.pbs.wire import RpcTimeout
 
 
 def make_cluster(heads, computes=2, seed=41):

@@ -15,10 +15,10 @@ from repro.gcs.messages import JoinReq
 from repro.joshua.wire import Command, XferPush
 from repro.net.address import Address
 from repro.net.frames import DataFrame
-from repro.pbs.wire import rpc_call
 from repro.pvfs import PVFSClient, ServiceError, build_replicated_mds
 from repro.pvfs.service import MDS_PORT
 from repro.pvfs.wire import Create
+from repro.rpc import call as rpc_call
 from repro.util.errors import NoActiveHeadError
 
 

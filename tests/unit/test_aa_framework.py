@@ -11,9 +11,8 @@ from repro.joshua.host import ReplicaHost
 from repro.joshua.shard import BackendDriver
 from repro.joshua.wire import Command, is_joining
 from repro.net.address import Address
-from repro.pbs.wire import rpc_call
 from repro.pvfs import PVFSClient
-from repro.rpc import failover_call
+from repro.rpc import call as rpc_call, failover_call
 from repro.util.errors import JoshuaError, NoActiveHeadError, PBSError, ReproError
 
 FAST = GroupConfig(

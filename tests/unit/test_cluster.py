@@ -165,35 +165,21 @@ class TestDaemonLifecycle:
 class TestStorage:
     def test_disk_survives_crash(self, cluster):
         node = cluster.heads[0]
-        node.disk.write("queue", [1, 2, 3])
+        node.disk.write("queue", (1, 2, 3))
         node.crash()
         node.restart()
-        assert node.disk.read("queue") == [1, 2, 3]
+        assert node.disk.read("queue") == (1, 2, 3)
 
-    def test_deep_copy_on_write_and_read(self):
+    def test_stores_the_value_given(self):
         disk = Disk("n")
-        data = {"jobs": [1]}
-        disk.write("k", data)
-        data["jobs"].append(2)
-        assert disk.read("k") == {"jobs": [1]}
-        first = disk.read("k")
-        first["jobs"].append(99)
-        assert disk.read("k") == {"jobs": [1]}
+        value = (("1.t", "Q"),)
+        disk.write("k", value)
+        assert disk.read("k") is value
 
-    def test_read_default_and_delete(self):
+    def test_read_default(self):
         disk = Disk("n")
         assert disk.read("missing", 42) == 42
-        disk.write("k", 1)
-        disk.delete("k")
-        assert "k" not in disk
-
-    def test_keys_and_wipe(self):
-        disk = Disk("n")
-        disk.write("b", 1)
-        disk.write("a", 2)
-        assert disk.keys() == ["a", "b"]
-        disk.wipe()
-        assert disk.keys() == []
+        assert disk.read("missing") is None
 
 
 class TestFailureSchedule:

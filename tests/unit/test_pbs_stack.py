@@ -1,12 +1,14 @@
 """Integration-style tests of the full single-head PBS stack."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import Cluster
 from repro.net.address import Address
-from repro.pbs import JobSpec, JobState, PBSMom, build_pbs_stack
+from repro.pbs import Job, JobSpec, JobState, PBSMom, build_pbs_stack
 from repro.pbs.server import PBS_MOM_PORT
-from repro.pbs.wire import RpcTimeout
+from repro.rpc.errors import RpcTimeout
 from repro.util.errors import PBSError
 
 
@@ -223,6 +225,28 @@ class TestCrashRecovery:
         assert job.state is JobState.COMPLETE
         assert job.run_count >= 1
 
+    def test_disk_image_is_an_immutable_snapshot(self, stack):
+        """The server persists its table by reference, so the image must be
+        immutable: one read before a later submit and a later transition
+        still shows the table as it was when it was written."""
+        cluster = stack.cluster
+        head = cluster.heads[0]
+        client = stack.client(node="compute0")
+        first = drive(stack, client.qsub(name="a", walltime=30))
+        jobs, next_seq = head.disk.read("pbs.torque")
+        assert isinstance(jobs, tuple)
+        assert all(isinstance(job, Job) for job in jobs)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            jobs[0].state = JobState.COMPLETE
+        drive(stack, client.qsub(name="b", walltime=30))
+        cluster.run(until=2.0)  # job a starts
+        assert head.daemon("pbs_server").jobs.get(first).state is JobState.RUNNING
+        assert [(j.job_id, j.state) for j in jobs] == [(first, JobState.QUEUED)]
+        assert next_seq == 2
+        later_jobs, later_seq = head.disk.read("pbs.torque")
+        assert [j.state for j in later_jobs] == [JobState.RUNNING, JobState.QUEUED]
+        assert later_seq == 3
+
     def test_client_times_out_when_head_down(self, stack):
         cluster = stack.cluster
         cluster.heads[0].crash()
@@ -245,7 +269,8 @@ class TestMomBehaviour:
         job_id = drive(stack, client.qsub(name="dup", walltime=50))
         cluster.run(until=2.0)
         mom = stack.moms[0] if stack.moms[0].active else stack.moms[1]
-        from repro.pbs.wire import JobStartReq, rpc_call
+        from repro.pbs.wire import JobStartReq
+        from repro.rpc import call as rpc_call
         record = next(iter(mom.active.values()))
 
         def dup_attempt():
@@ -286,7 +311,8 @@ class TestMomBehaviour:
         client = stack.client()
         job_id = drive(stack, client.qsub(name="short", walltime=0.5))
         cluster.run(until=0.3)  # first attempt is through; job is running
-        from repro.pbs.wire import JobStartReq, rpc_call
+        from repro.pbs.wire import JobStartReq
+        from repro.rpc import call as rpc_call
         record = mom.active[job_id]
 
         def dup_attempt():
